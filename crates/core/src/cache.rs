@@ -728,7 +728,7 @@ impl TranslationCache {
         let skey = PersistStore::spec_key(tkey, warp_size, variant.label());
         let start = Instant::now();
         let span = flight::span_start();
-        let Some(mut art) = ps.load_spec(kernel, skey) else {
+        let Some(mut art) = ps.load_spec(kernel, skey, warp_size, variant.label()) else {
             self.shared.stats.persist_misses.fetch_add(1, Relaxed);
             dpvk_trace::add(dpvk_trace::Counter::PersistMisses, 1);
             return None;
@@ -806,6 +806,8 @@ impl TranslationCache {
         let evicted = ps.store_spec(
             kernel,
             skey,
+            warp_size,
+            variant.label(),
             &compiled.function,
             &compiled.bytecode,
             crate::persist::SpecMeta {
@@ -874,6 +876,15 @@ impl TranslationCache {
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Memoize a specialization failure for `(kernel, warp_size,
+    /// variant)`, so dispatch downgrades it to the scalar baseline.
+    #[cfg(test)]
+    pub(crate) fn fail_specialization(&self, kernel: &str, warp_size: u32, variant: Variant) {
+        let error =
+            CoreError::Unsupported { kernel: kernel.to_string(), message: "forced by test".into() };
+        self.shared.inner.lock().failed.insert((kernel.to_string(), warp_size, variant), error);
     }
 
     /// Fold in hit/downgrade counts resolved from a worker-local dispatch

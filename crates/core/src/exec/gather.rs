@@ -19,6 +19,16 @@ pub(crate) struct GatherTally {
     pub calls: u64,
 }
 
+impl GatherTally {
+    /// Record one formation's host time: the `HostFormationNs` counter
+    /// and this chunk's coalesced span.
+    pub(crate) fn note(&mut self, ns: u64) {
+        dpvk_trace::add(dpvk_trace::Counter::HostFormationNs, ns);
+        self.ns += ns;
+        self.calls += 1;
+    }
+}
+
 /// [`gather`], timed when the trace layer is on: host nanoseconds feed
 /// the `HostFormationNs` counter and accumulate in `tally` for the
 /// chunk's coalesced gather span. When tracing is off this adds one
@@ -34,10 +44,7 @@ pub(crate) fn gather_timed(
     let t = dpvk_trace::enabled().then(Instant::now);
     let scanned = gather(ready, rp, config, warp, kept);
     if let Some(t) = t {
-        let ns = t.elapsed().as_nanos() as u64;
-        dpvk_trace::add(dpvk_trace::Counter::HostFormationNs, ns);
-        tally.ns += ns;
-        tally.calls += 1;
+        tally.note(t.elapsed().as_nanos() as u64);
     }
     scanned
 }
@@ -89,6 +96,60 @@ pub(crate) fn gather(
         warp.sort_by_key(|c| c.flat_tid());
     }
     scanned
+}
+
+/// The next warp of a pass, formed without touching the queue: it is
+/// `pass[..len]`, and the gather would have examined `scanned` entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PassWarp {
+    pub len: usize,
+    pub scanned: usize,
+}
+
+/// What [`gather`] would do at the head of a pass, computed
+/// arithmetically. `pass` is the front of the ready queue — one resume
+/// point, strictly increasing thread index — and `rest_empty` says
+/// whether any queue entries follow it.
+///
+/// Returns `None` when the answer depends on the entries behind the
+/// pass (the gather would scan into them), or `max_warp` is 0; the
+/// caller then hands the pass to the gather path.
+///
+/// * Dynamic and baseline formation take the first `max_warp` matching
+///   threads: `min(remaining, max_warp)` of them, all from the pass,
+///   when the pass alone can fill the warp or nothing follows it.
+/// * Static formation takes the front thread's group. A full group at
+///   the head stops the scan after `max_warp` entries; a partial one
+///   scans the whole queue, which is known only when nothing follows.
+pub(crate) fn pass_formation(
+    pass: &[ThreadContext],
+    rest_empty: bool,
+    config: &ExecConfig,
+) -> Option<PassWarp> {
+    let max = config.max_warp as usize;
+    let remaining = pass.len();
+    if max == 0 || remaining == 0 {
+        return None;
+    }
+    if config.policy == FormationPolicy::Static {
+        let group = |c: &ThreadContext| c.flat_tid() / config.max_warp;
+        let g = group(&pass[0]);
+        if remaining >= max && group(&pass[max - 1]) == g {
+            return Some(PassWarp { len: max, scanned: max });
+        }
+        if !rest_empty {
+            return None;
+        }
+        let len = pass.iter().take_while(|c| group(c) == g).count();
+        return Some(PassWarp { len, scanned: remaining });
+    }
+    if remaining >= max {
+        Some(PassWarp { len: max, scanned: max })
+    } else if rest_empty {
+        Some(PassWarp { len: remaining, scanned: remaining })
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -171,5 +232,61 @@ mod tests {
                 assert!(kept.is_empty(), "kept scratch must drain back into the queue");
             }
         }
+    }
+
+    #[test]
+    fn pass_formation_matches_gather() {
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let configs = [
+            ExecConfig::baseline(),
+            ExecConfig::dynamic(4),
+            ExecConfig::dynamic(3),
+            ExecConfig::static_tie(4),
+            ExecConfig::static_tie(2),
+            ExecConfig::static_tie(1),
+        ];
+        let mut formed = 0;
+        for config in &configs {
+            for _ in 0..300 {
+                // A pass: an increasing subset of thread ids at one resume
+                // point, starting anywhere; then a rest queue of random
+                // threads, some at the pass's resume point.
+                let rp = 7;
+                let mut pass: Vec<ThreadContext> = Vec::new();
+                let mut tid = (next() % 6) as u32;
+                for _ in 0..(next() % 12) {
+                    let mut ctx = ThreadContext::new([tid, 0, 0], [64, 1, 1], [0; 3], [1; 3]);
+                    ctx.resume_point = rp;
+                    pass.push(ctx);
+                    tid += 1 + (next() % 3 == 0) as u32;
+                }
+                let rest: Vec<ThreadContext> = (0..next() % 4)
+                    .map(|_| {
+                        let t = (next() % 64) as u32;
+                        let mut ctx = ThreadContext::new([t, 0, 0], [64, 1, 1], [0; 3], [1; 3]);
+                        ctx.resume_point = if next() % 2 == 0 { rp } else { 3 };
+                        ctx
+                    })
+                    .collect();
+                let Some(f) = pass_formation(&pass, rest.is_empty(), config) else {
+                    continue;
+                };
+                formed += 1;
+                let mut queue: VecDeque<ThreadContext> =
+                    pass.iter().chain(&rest).copied().collect();
+                let (mut warp, mut kept) = (Vec::new(), Vec::new());
+                let scanned = gather(&mut queue, rp, config, &mut warp, &mut kept);
+                assert_eq!(warp, &pass[..f.len], "warp diverged from the pass head");
+                assert_eq!(scanned, f.scanned, "scanned count diverged");
+                let residual: Vec<ThreadContext> =
+                    pass[f.len..].iter().chain(&rest).copied().collect();
+                assert_eq!(Vec::from(queue), residual, "residual queue diverged");
+            }
+        }
+        assert!(formed > 500, "too few formable passes exercised: {formed}");
     }
 }

@@ -88,6 +88,17 @@ pub(crate) struct LaunchJob {
     /// Set by the first chunk to start executing; that chunk closes the
     /// queue-wait span (submission → first dispatch).
     queue_wait_done: AtomicBool,
+    /// Run CTAs through the per-warp reference loop instead of the pass
+    /// loop (set from [`REFERENCE_LOOP`] at submission).
+    #[cfg(test)]
+    pub(crate) reference_loop: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Launches submitted from this thread while set run the per-warp
+    /// reference loop (the differential oracle of `run_cta`).
+    pub(crate) static REFERENCE_LOOP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 impl LaunchJob {
@@ -186,6 +197,14 @@ impl LaunchJob {
 
     fn try_outcome(&self) -> Option<Result<LaunchStats, CoreError>> {
         self.state.lock().outcome.clone()
+    }
+
+    /// Stats merged over every finished chunk (failed ones included) and
+    /// each chunk's first unfinished CTA.
+    #[cfg(test)]
+    pub(crate) fn settled(&self) -> (LaunchStats, Vec<Option<u32>>) {
+        let st = self.state.lock();
+        (st.stats.clone(), st.stopped.clone())
     }
 }
 
@@ -484,6 +503,8 @@ pub(crate) fn submit(
         seq,
         submit_ns,
         queue_wait_done: AtomicBool::new(false),
+        #[cfg(test)]
+        reference_loop: REFERENCE_LOOP.with(std::cell::Cell::get),
     });
     if let Some(gauge) = &job.gauge {
         gauge.inc();

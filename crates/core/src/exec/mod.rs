@@ -33,6 +33,8 @@
 //! [`Stream`](crate::runtime::Stream) retain in-order semantics.
 
 pub(crate) mod gather;
+#[cfg(test)]
+mod jit_fidelity;
 pub(crate) mod job;
 pub(crate) mod stats;
 pub(crate) mod worker;

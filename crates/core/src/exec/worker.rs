@@ -24,8 +24,8 @@ use std::time::Instant;
 use dpvk_ir::ResumeStatus;
 use dpvk_trace::timeline::{self, SpanKind};
 use dpvk_vm::{
-    execute_warp_bytecode, execute_warp_framed, execute_warp_jit, GlobalMem, MemAccess, RegFrame,
-    ThreadContext, VmError,
+    execute_warp_framed, BytecodePass, CancelToken, ExecLimits, ExecStats, JitPass, JitProgram,
+    MachineModel, MemAccess, RegFrame, ThreadContext, VmError,
 };
 
 use crate::cache::{CompiledKernel, TranslationCache, Variant};
@@ -34,10 +34,12 @@ use crate::flight;
 use crate::sync::Monitor;
 use crate::translate::TranslatedKernel;
 
-use super::gather::{gather_timed, GatherTally};
-use super::job::LaunchJob;
+use super::gather::{gather_timed, pass_formation, GatherTally, PassWarp};
+use super::job::{LaunchJob, LaunchRequest};
 use super::stats::LaunchStats;
-use super::{boundary_fault, panic_payload, warp_fault, Engine, FormationPolicy};
+use super::{
+    boundary_fault, panic_payload, warp_fault, EmCostModel, Engine, ExecConfig, FormationPolicy,
+};
 
 /// One unit of pool work: the `index`-th chunk of `job` (CTAs
 /// `index, index + chunks, …`).
@@ -273,6 +275,8 @@ fn run_chunk(
                 break;
             }
         }
+        #[cfg(test)]
+        let run_cta = if job.reference_loop { oracle::run_cta_reference } else { run_cta };
         let run = catch_unwind(AssertUnwindSafe(|| run_cta(job, flat, &mut stats, scratch)));
         match run {
             Ok(Ok(())) => {}
@@ -334,6 +338,8 @@ fn run_chunk(
 pub(crate) struct DispatchMemo {
     cache: Option<TranslationCache>,
     entries: Vec<MemoEntry>,
+    /// Index of the entry the latest [`resolve`](Self::resolve) returned.
+    last: usize,
     hits: u64,
     downgrades: u64,
 }
@@ -362,7 +368,7 @@ const MEMO_CAPACITY: usize = 64;
 
 impl DispatchMemo {
     fn new() -> Self {
-        DispatchMemo { cache: None, entries: Vec::new(), hits: 0, downgrades: 0 }
+        DispatchMemo { cache: None, entries: Vec::new(), last: 0, hits: 0, downgrades: 0 }
     }
 
     /// Point the memo at `cache`, flushing tallies and dropping entries
@@ -386,27 +392,15 @@ impl DispatchMemo {
         w: u32,
         variant: Variant,
     ) -> Result<(Arc<CompiledKernel>, bool), CoreError> {
-        if let Some(e) = self
+        if let Some(i) = self
             .entries
-            .iter_mut()
-            .find(|e| e.width == w && e.variant == variant && Arc::ptr_eq(&e.tk, tk))
+            .iter()
+            .position(|e| e.width == w && e.variant == variant && Arc::ptr_eq(&e.tk, tk))
         {
-            // Tally what the shared cache would have counted: one hit per
-            // resolution, and for a downgraded entry a hit on the width-1
-            // baseline plus one downgrade.
-            self.hits += 1;
-            e.pending_hits += 1;
-            e.pending_warps += 1;
-            let downgraded = e.downgraded;
-            if downgraded {
-                self.downgrades += 1;
-            }
-            let compiled = Arc::clone(&e.compiled);
-            if dpvk_trace::enabled() {
-                let (rw, rv) = if downgraded { (1, Variant::Baseline) } else { (w, variant) };
-                dpvk_trace::record_cache_query(kernel, rw, rv.label(), true);
-            }
-            return Ok((compiled, downgraded));
+            self.last = i;
+            self.repeat_last(kernel);
+            let e = &self.entries[i];
+            return Ok((Arc::clone(&e.compiled), e.downgraded));
         }
         let cache = self.cache.as_ref().expect("memo bound to a cache before resolving");
         let (compiled, downgraded) = cache.get_or_downgrade(kernel, w, variant)?;
@@ -415,6 +409,7 @@ impl DispatchMemo {
             self.flush();
             self.entries.clear();
         }
+        self.last = self.entries.len();
         self.entries.push(MemoEntry {
             tk: Arc::clone(tk),
             width: w,
@@ -425,6 +420,25 @@ impl DispatchMemo {
             pending_warps: 1,
         });
         Ok((compiled, downgraded))
+    }
+
+    /// Resolve the same specialization as the latest
+    /// [`resolve`](Self::resolve) again — a memo hit, without touching
+    /// the entry's kernel handle. Tallies what the shared cache would
+    /// have counted: one hit per resolution, and for a downgraded entry
+    /// a hit on the width-1 baseline plus one downgrade.
+    pub(crate) fn repeat_last(&mut self, kernel: &str) {
+        let e = &mut self.entries[self.last];
+        self.hits += 1;
+        e.pending_hits += 1;
+        e.pending_warps += 1;
+        if e.downgraded {
+            self.downgrades += 1;
+        }
+        if dpvk_trace::enabled() {
+            let (rw, rv) = if e.downgraded { (1, Variant::Baseline) } else { (e.width, e.variant) };
+            dpvk_trace::record_cache_query(kernel, rw, rv.label(), true);
+        }
     }
 
     /// Flush accumulated hit/downgrade and per-width tallies to the
@@ -457,12 +471,23 @@ impl DispatchMemo {
     }
 }
 
-/// Reusable per-worker execution state: the dispatch memo plus scratch
-/// buffers for warp formation and the interpreter register frame, so the
-/// steady-state CTA loop performs no heap allocation. Lives as long as
-/// the worker thread.
+/// Reusable per-worker execution state: the dispatch memo, the CTA's
+/// thread queues and memories, warp-formation buffers and the
+/// interpreter register frame, so the steady-state CTA loop performs no
+/// heap allocation. Lives as long as the worker thread.
 pub(crate) struct WorkerScratch {
     pub(crate) dispatch: DispatchMemo,
+    /// The current pass: `pass[head..]` is the front of the CTA's ready
+    /// queue (see [`run_cta`]).
+    pass: Vec<ThreadContext>,
+    /// The rest of the CTA's ready queue, behind the pass.
+    ready: VecDeque<ThreadContext>,
+    /// Threads waiting at a barrier.
+    barrier: Vec<ThreadContext>,
+    /// The CTA's shared memory.
+    shared: Vec<u8>,
+    /// The CTA's local-memory arena.
+    local: Vec<u8>,
     warp: Vec<ThreadContext>,
     kept: Vec<ThreadContext>,
     frame: RegFrame,
@@ -475,6 +500,11 @@ impl WorkerScratch {
     fn new() -> Self {
         WorkerScratch {
             dispatch: DispatchMemo::new(),
+            pass: Vec::new(),
+            ready: VecDeque::new(),
+            barrier: Vec::new(),
+            shared: Vec::new(),
+            local: Vec::new(),
             warp: Vec::new(),
             kept: Vec::new(),
             frame: RegFrame::new(),
@@ -483,7 +513,350 @@ impl WorkerScratch {
     }
 }
 
+/// A guest engine bound to one specialization, register frame and
+/// memory view for a run of warps. Lives on the stack for one pass (or
+/// one gather warp); boxing the large JIT variant would allocate per
+/// pass.
+#[allow(clippy::large_enum_variant)]
+enum WarpRunner<'p, 'm> {
+    Jit(JitPass<'p, 'm>),
+    Bytecode(BytecodePass<'p, 'm>),
+    Tree {
+        compiled: &'p CompiledKernel,
+        model: &'p MachineModel,
+        frame: &'p mut RegFrame,
+        mem: &'p mut MemAccess<'m>,
+        limits: &'p ExecLimits,
+        cancel: &'p CancelToken,
+    },
+}
+
+impl<'p, 'm> WarpRunner<'p, 'm> {
+    /// Bind `engine` to `compiled`. `jit` is the specialization's native
+    /// code; `None` under [`Engine::Jit`] degrades to the bytecode
+    /// engine.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        engine: Engine,
+        compiled: &'p CompiledKernel,
+        jit: Option<&'p JitProgram>,
+        model: &'p MachineModel,
+        frame: &'p mut RegFrame,
+        mem: &'p mut MemAccess<'m>,
+        limits: &'p ExecLimits,
+        cancel: &'p CancelToken,
+    ) -> Self {
+        match (engine, jit) {
+            (Engine::Jit, Some(jit)) => WarpRunner::Jit(JitPass::new(
+                jit,
+                &compiled.bytecode,
+                frame,
+                mem,
+                limits,
+                Some(cancel),
+            )),
+            (Engine::Bytecode | Engine::Jit, _) => WarpRunner::Bytecode(BytecodePass::new(
+                &compiled.bytecode,
+                frame,
+                mem,
+                limits,
+                Some(cancel),
+            )),
+            (Engine::Tree, _) => WarpRunner::Tree { compiled, model, frame, mem, limits, cancel },
+        }
+    }
+
+    /// Run one warp from entry `rp`. An engine error becomes a fault
+    /// carrying the warp's provenance; cancellations and deadlines also
+    /// count as cancelled warps.
+    fn run(
+        &mut self,
+        ctxs: &mut [ThreadContext],
+        rp: i64,
+        stats: &mut ExecStats,
+        kernel: &str,
+        cta_flat: u32,
+    ) -> Result<ResumeStatus, CoreError> {
+        let outcome = match self {
+            WarpRunner::Jit(pass) => pass.run_warp(ctxs, rp, stats),
+            WarpRunner::Bytecode(pass) => pass.run_warp(ctxs, rp, stats),
+            WarpRunner::Tree { compiled, model, frame, mem, limits, cancel } => {
+                execute_warp_framed(
+                    &compiled.function,
+                    &compiled.frame,
+                    frame,
+                    &compiled.cost,
+                    model,
+                    ctxs,
+                    rp,
+                    mem,
+                    stats,
+                    limits,
+                    Some(cancel),
+                )
+            }
+        };
+        outcome.map(|o| o.status).map_err(|e| {
+            if matches!(e, VmError::Cancelled | VmError::Deadline) {
+                stats.cancelled_warps += 1;
+            }
+            warp_fault(kernel, cta_flat, rp, ctxs, e)
+        })
+    }
+}
+
+/// The CTA's thread queues. The ready queue is `pass[head..]` followed
+/// by `ready`; every live thread is in exactly one of the ready queue,
+/// the executing warp and `barrier`.
+struct CtaQueues<'s> {
+    pass: &'s mut Vec<ThreadContext>,
+    head: usize,
+    ready: &'s mut VecDeque<ThreadContext>,
+    barrier: &'s mut Vec<ThreadContext>,
+    exited: usize,
+    cta_size: usize,
+}
+
+impl CtaQueues<'_> {
+    /// The unrun part of the pass.
+    fn pass_left(&self) -> &[ThreadContext] {
+        &self.pass[self.head..]
+    }
+
+    /// End the pass early: its unrun threads go back to the head of the
+    /// ready queue, in order, for the gather path.
+    fn spill(&mut self) {
+        for ctx in self.pass[self.head..].iter().rev() {
+            self.ready.push_front(*ctx);
+        }
+        self.head = self.pass.len();
+    }
+
+    /// Route a retired warp's threads by its yield status: exits are
+    /// counted, branches re-enter the back of the ready queue, barrier
+    /// arrivals wait.
+    fn route(
+        ready: &mut VecDeque<ThreadContext>,
+        barrier: &mut Vec<ThreadContext>,
+        exited: &mut usize,
+        warp: &[ThreadContext],
+        status: ResumeStatus,
+    ) {
+        match status {
+            ResumeStatus::Exit => *exited += warp.len(),
+            ResumeStatus::Branch => {
+                for ctx in warp {
+                    if ctx.is_terminated() {
+                        *exited += 1;
+                    } else {
+                        ready.push_back(*ctx);
+                    }
+                }
+            }
+            ResumeStatus::Barrier => barrier.extend_from_slice(warp),
+        }
+    }
+
+    /// Barrier release: when every live thread has arrived, everyone
+    /// resumes at the continuation entry point. The ready queue is empty
+    /// then, so the released threads *are* the queue; when they share
+    /// one resume point in lane order they become the next pass.
+    fn release_barrier(&mut self, em: &EmCostModel, stats: &mut LaunchStats) {
+        let alive = self.cta_size - self.exited;
+        if self.barrier.is_empty() || self.barrier.len() != alive {
+            return;
+        }
+        stats.exec.cycles_manager += em.per_barrier_thread * self.barrier.len() as u64;
+        debug_assert!(self.ready.is_empty() && self.pass_left().is_empty());
+        if is_pass(self.barrier) {
+            std::mem::swap(self.pass, self.barrier);
+            self.barrier.clear();
+            self.head = 0;
+        } else {
+            self.ready.extend(self.barrier.drain(..));
+        }
+    }
+}
+
+/// Whether `ctxs` may run as a pass: one resume point, lane order.
+fn is_pass(ctxs: &[ThreadContext]) -> bool {
+    ctxs.windows(2)
+        .all(|p| p[0].resume_point == p[1].resume_point && p[0].flat_tid() < p[1].flat_tid())
+}
+
+/// The between-warps poll: cancellation always, the deadline when one
+/// is set (the interpreter polls on an instruction stride; this covers
+/// short warp calls that retire before the first poll).
+fn check_boundary(req: &LaunchRequest, cta_flat: u32, polling: bool) -> Result<(), CoreError> {
+    if req.token.is_cancelled() {
+        return Err(boundary_fault(&req.kernel, cta_flat, VmError::Cancelled));
+    }
+    if polling {
+        if let Some(deadline) = req.config.limits.deadline {
+            if Instant::now() >= deadline {
+                return Err(boundary_fault(&req.kernel, cta_flat, VmError::Deadline));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Pick the widest available specialization for a gathered warp of
+/// `len` threads.
+fn select_width(config: &ExecConfig, len: usize) -> (u32, Variant) {
+    match config.policy {
+        FormationPolicy::ScalarBaseline => (1u32, Variant::Baseline),
+        FormationPolicy::Dynamic => {
+            let mut w = config.max_warp;
+            while w as usize > len {
+                w /= 2;
+            }
+            (w.max(1), Variant::Dynamic)
+        }
+        FormationPolicy::Static => {
+            if len == config.max_warp as usize && config.max_warp > 1 {
+                (config.max_warp, Variant::StaticTie)
+            } else {
+                (1, Variant::StaticTie)
+            }
+        }
+    }
+}
+
+/// Count a warp's dispatch to its engine. Called before executing: a
+/// warp that faults or is cancelled mid-body was still dispatched.
+fn count_dispatch(engine: Engine, native: bool) {
+    let engine_counter = match engine {
+        Engine::Bytecode => dpvk_trace::Counter::WarpsBytecode,
+        Engine::Tree => dpvk_trace::Counter::WarpsTree,
+        Engine::Jit if native => dpvk_trace::Counter::WarpsJit,
+        Engine::Jit => {
+            dpvk_trace::add(dpvk_trace::Counter::JitFallbackWarps, 1);
+            dpvk_trace::Counter::WarpsBytecode
+        }
+    };
+    dpvk_trace::add(engine_counter, 1);
+}
+
+/// The native code for `compiled` under `engine` (the first warp pays
+/// the emit; the rest hit the per-kernel cache). `None` — not the JIT
+/// engine, unsupported host or no native lowering — runs the warp on
+/// an interpreter.
+fn native_code<'c>(
+    engine: Engine,
+    compiled: &'c CompiledKernel,
+    kernel: &str,
+) -> Option<&'c JitProgram> {
+    match engine {
+        Engine::Jit => compiled.jit(kernel).map(|j| &**j),
+        Engine::Bytecode | Engine::Tree => None,
+    }
+}
+
+/// [`pass_formation`] for the head of the pass, with its host time
+/// when tracing.
+fn timed_pass_formation(
+    q: &CtaQueues<'_>,
+    config: &ExecConfig,
+    tracing: bool,
+) -> Option<(PassWarp, Option<u64>)> {
+    let t = tracing.then(Instant::now);
+    let f = pass_formation(q.pass_left(), q.ready.is_empty(), config)?;
+    Some((f, t.map(|t| t.elapsed().as_nanos() as u64)))
+}
+
+/// The modeled formation charge for a warp that examined `scanned`
+/// queue entries, plus its host time (`ns`, measured when tracing).
+fn charge_formation(
+    em: &EmCostModel,
+    stats: &mut LaunchStats,
+    scan_total: &mut u64,
+    gather: &mut GatherTally,
+    scanned: usize,
+    ns: Option<u64>,
+) {
+    if let Some(ns) = ns {
+        gather.note(ns);
+    }
+    stats.exec.cycles_manager += em.formation_base + em.per_thread_scanned * scanned as u64;
+    *scan_total += scanned as u64;
+}
+
+/// Add a dispatch resolution's host time to the trace counter.
+fn note_dispatch_ns(start: Option<Instant>) {
+    if let Some(t) = start {
+        dpvk_trace::add(dpvk_trace::Counter::HostDispatchNs, t.elapsed().as_nanos() as u64);
+    }
+}
+
+/// The fault-injection hooks every formed warp passes before it runs:
+/// the CTA's planned fault (taken by its first warp) and slow warps.
+#[cfg(feature = "fault-inject")]
+fn inject_warp_faults(
+    pending: &mut Option<VmError>,
+    kernel: &str,
+    cta_flat: u32,
+    rp: i64,
+    warp: &[ThreadContext],
+) -> Result<(), CoreError> {
+    if let Some(vm_err) = pending.take() {
+        return Err(warp_fault(kernel, cta_flat, rp, warp, vm_err));
+    }
+    crate::faults::maybe_slow_warp(cta_flat);
+    Ok(())
+}
+
+/// Per-warp accounting after a warp returns: the width histogram, trace
+/// records and the yield (and barrier-arrival) tariffs.
+#[allow(clippy::too_many_arguments)]
+fn retire_warp(
+    config: &ExecConfig,
+    kernel: &str,
+    stats: &mut LaunchStats,
+    tracing: bool,
+    scan_total: &mut u64,
+    rp: i64,
+    w: u32,
+    status: ResumeStatus,
+) {
+    if (w as usize) < stats.warp_hist.len() {
+        stats.warp_hist[w as usize] += 1;
+    }
+    if tracing {
+        dpvk_trace::record_warp_entry(w, std::mem::take(scan_total));
+        let reason = match status {
+            ResumeStatus::Exit => dpvk_trace::YieldReason::Exit,
+            ResumeStatus::Branch => dpvk_trace::YieldReason::Branch,
+            ResumeStatus::Barrier => dpvk_trace::YieldReason::Barrier,
+        };
+        dpvk_trace::record_yield(kernel, rp.max(0) as u32, reason, w);
+    }
+    stats.exec.cycles_manager += config.em_cost.per_yield_thread * w as u64;
+    if status == ResumeStatus::Barrier {
+        stats.exec.cycles_manager += config.em_cost.per_barrier_thread * w as u64;
+    }
+}
+
 /// Execute all threads of one CTA to completion.
+///
+/// The ready queue is kept in two parts. The *pass* is a run of ready
+/// threads at its front that share one resume point and are in lane
+/// order: the whole CTA at launch, and the whole CTA again after every
+/// barrier all live threads reached (when the released threads still
+/// share a resume point). A pass runs as consecutive warps over
+/// contiguous slices of the pass array, executed in place: formation is
+/// arithmetic (see [`pass_formation`]), and the specialization, its
+/// native code and the engine binding are resolved once for the run.
+/// Everything else — divergent queues, partial groups, a pass tail that
+/// would gather threads from behind it — takes the single-pass gather
+/// over the deque behind the pass, as before.
+///
+/// Both paths apply the same per-warp side effects in the same order:
+/// boundary polls, the modeled formation / cache-query / yield /
+/// barrier charges, memo hit and downgrade tallies, fault hooks, trace
+/// records and the width histogram. A pass warp is charged exactly what
+/// the gather would have charged for it, so modeled cycles and every
+/// statistic are unchanged.
 fn run_cta(
     job: &LaunchJob,
     cta_flat: u32,
@@ -497,95 +870,161 @@ fn run_cta(
     let kernel = req.kernel.as_str();
     let tk = &job.tk;
     let config = &req.config;
-    let cancel = &req.token;
+    let em = &config.em_cost;
     let grid = req.grid;
     let block = req.block;
-    let global: &GlobalMem = &req.global;
+    let model = req.cache.model();
 
     let cta_size = (block[0] * block[1] * block[2]) as usize;
     let ctaid =
         [cta_flat % grid[0], (cta_flat / grid[0]) % grid[1], cta_flat / (grid[0] * grid[1])];
 
-    // Build thread contexts.
-    let mut ready: VecDeque<ThreadContext> = VecDeque::with_capacity(cta_size);
+    let WorkerScratch {
+        dispatch,
+        pass,
+        ready,
+        barrier,
+        shared,
+        local,
+        warp,
+        kept,
+        frame,
+        gather,
+        ..
+    } = scratch;
+
+    // Build thread contexts: the whole CTA, in lane order at the kernel
+    // entry, is the first pass.
+    pass.clear();
     for tz in 0..block[2] {
         for ty in 0..block[1] {
             for tx in 0..block[0] {
                 let mut ctx = ThreadContext::new([tx, ty, tz], block, ctaid, grid);
                 let flat = ctx.flat_tid() as usize;
                 ctx.local_base = (flat * tk.local_bytes) as u64;
-                ready.push_back(ctx);
+                pass.push(ctx);
             }
         }
     }
-
-    let mut shared = vec![0u8; tk.shared_bytes.max(1)];
-    let mut local = vec![0u8; (tk.local_bytes * cta_size).max(1)];
-    let mut barrier_pool: Vec<ThreadContext> = Vec::new();
-    let mut exited: usize = 0;
+    ready.clear();
+    barrier.clear();
+    shared.clear();
+    shared.resize(tk.shared_bytes.max(1), 0);
+    local.clear();
+    local.resize((tk.local_bytes * cta_size).max(1), 0);
+    let mut mem =
+        MemAccess { global: &req.global, shared, local, param: &req.param, cbank: &req.cbank };
+    let mut q = CtaQueues { pass, head: 0, ready, barrier, exited: 0, cta_size };
     let mut scan_total: u64 = 0;
     let tracing = dpvk_trace::enabled();
-    // The interpreter polls on an instruction stride; this boundary check
-    // covers short warp calls that retire before the first poll.
     let polling = config.limits.deadline.is_some();
 
     #[cfg(feature = "fault-inject")]
     let mut injected_fault_pending = crate::faults::injected_warp_fault(cta_flat);
 
-    while let Some(front) = ready.front() {
-        let rp = front.resume_point;
-        if cancel.is_cancelled() {
-            return Err(boundary_fault(kernel, cta_flat, VmError::Cancelled));
-        }
-        if polling {
-            if let Some(deadline) = config.limits.deadline {
-                if Instant::now() >= deadline {
-                    return Err(boundary_fault(kernel, cta_flat, VmError::Deadline));
-                }
+    loop {
+        if !q.pass_left().is_empty() {
+            // -- A pass ------------------------------------------------
+            let Some((f, ns)) = timed_pass_formation(&q, config, tracing) else {
+                q.spill();
+                continue;
+            };
+            let rp = q.pass[q.head].resume_point;
+            let (w_req, variant) = select_width(config, f.len);
+            check_boundary(req, cta_flat, polling)?;
+            charge_formation(em, stats, &mut scan_total, gather, f.scanned, ns);
+            stats.exec.cycles_manager += em.per_cache_query;
+            // The first warp resolves the specialization and binds the
+            // engine; the rest of the pass reuses both.
+            let host_t = tracing.then(Instant::now);
+            let (compiled, downgraded) = dispatch.resolve(kernel, tk, w_req, variant)?;
+            note_dispatch_ns(host_t);
+            let w = if downgraded { 1 } else { w_req };
+            if downgraded {
+                stats.exec.downgraded_warps += 1;
             }
+            #[cfg(feature = "fault-inject")]
+            inject_warp_faults(
+                &mut injected_fault_pending,
+                kernel,
+                cta_flat,
+                rp,
+                &q.pass_left()[..w as usize],
+            )?;
+            let jit = native_code(config.engine, &compiled, kernel);
+            let mut runner = WarpRunner::new(
+                config.engine,
+                &compiled,
+                jit,
+                model,
+                frame,
+                &mut mem,
+                &config.limits,
+                &req.token,
+            );
+            loop {
+                let (start, end) = (q.head, q.head + w as usize);
+                if tracing {
+                    count_dispatch(config.engine, jit.is_some());
+                }
+                let slice = &mut q.pass[start..end];
+                let status = runner.run(slice, rp, &mut stats.exec, kernel, cta_flat)?;
+                retire_warp(config, kernel, stats, tracing, &mut scan_total, rp, w, status);
+                q.head = end;
+                CtaQueues::route(q.ready, q.barrier, &mut q.exited, &q.pass[start..end], status);
+                q.release_barrier(em, stats);
+                if q.head == 0 || q.pass_left().is_empty() {
+                    // Released into a new pass, or this one is done.
+                    break;
+                }
+                // The next warp continues the pass only if the gather
+                // would have formed it from the pass alone and picked the
+                // same specialization for it.
+                let next = timed_pass_formation(&q, config, tracing)
+                    .filter(|(f, _)| select_width(config, f.len) == (w_req, variant));
+                let Some((f, ns)) = next else {
+                    q.spill();
+                    break;
+                };
+                check_boundary(req, cta_flat, polling)?;
+                charge_formation(em, stats, &mut scan_total, gather, f.scanned, ns);
+                stats.exec.cycles_manager += em.per_cache_query;
+                let host_t = tracing.then(Instant::now);
+                dispatch.repeat_last(kernel);
+                note_dispatch_ns(host_t);
+                if downgraded {
+                    stats.exec.downgraded_warps += 1;
+                }
+                #[cfg(feature = "fault-inject")]
+                inject_warp_faults(
+                    &mut injected_fault_pending,
+                    kernel,
+                    cta_flat,
+                    rp,
+                    &q.pass_left()[..w as usize],
+                )?;
+            }
+            continue;
         }
+
+        // -- The gather path ------------------------------------------
+        let Some(front) = q.ready.front() else { break };
+        let rp = front.resume_point;
+        check_boundary(req, cta_flat, polling)?;
         // Gather a warp (round-robin from the queue head, greedy collect of
         // matching resume points).
-        let scanned = gather_timed(
-            &mut ready,
-            rp,
-            config,
-            &mut scratch.warp,
-            &mut scratch.kept,
-            &mut scratch.gather,
-        );
-        stats.exec.cycles_manager +=
-            config.em_cost.formation_base + config.em_cost.per_thread_scanned * scanned as u64;
-        scan_total += scanned as u64;
+        let scanned = gather_timed(q.ready, rp, config, warp, kept, gather);
+        charge_formation(em, stats, &mut scan_total, gather, scanned, None);
 
-        // Pick the widest available specialization.
-        let (w, variant) = match config.policy {
-            FormationPolicy::ScalarBaseline => (1u32, Variant::Baseline),
-            FormationPolicy::Dynamic => {
-                let mut w = config.max_warp;
-                while w as usize > scratch.warp.len() {
-                    w /= 2;
-                }
-                (w.max(1), Variant::Dynamic)
-            }
-            FormationPolicy::Static => {
-                if scratch.warp.len() == config.max_warp as usize && config.max_warp > 1 {
-                    (config.max_warp, Variant::StaticTie)
-                } else {
-                    (1, Variant::StaticTie)
-                }
-            }
-        };
-        stats.exec.cycles_manager += config.em_cost.per_cache_query;
+        let (w, variant) = select_width(config, warp.len());
+        stats.exec.cycles_manager += em.per_cache_query;
         // Degrade instead of failing: a specialization that cannot
         // compile falls back to the width-1 scalar baseline. Entry-point
         // numbering is shared across variants (assigned in `translate`),
         // so baseline warps resume mid-grid safely.
         let host_t = tracing.then(Instant::now);
-        let (compiled, downgraded) = scratch.dispatch.resolve(kernel, tk, w, variant)?;
-        if let Some(t) = host_t {
-            dpvk_trace::add(dpvk_trace::Counter::HostDispatchNs, t.elapsed().as_nanos() as u64);
-        }
+        let (compiled, downgraded) = dispatch.resolve(kernel, tk, w, variant)?;
+        note_dispatch_ns(host_t);
         let w = if downgraded {
             stats.exec.downgraded_warps += 1;
             1
@@ -593,139 +1032,44 @@ fn run_cta(
             w
         };
         // Return surplus threads to the queue head (they keep priority).
-        while scratch.warp.len() > w as usize {
-            let ctx = scratch.warp.pop().expect("warp longer than w");
-            ready.push_front(ctx);
+        while warp.len() > w as usize {
+            let ctx = warp.pop().expect("warp longer than w");
+            q.ready.push_front(ctx);
         }
 
         #[cfg(feature = "fault-inject")]
-        if let Some(vm_err) = injected_fault_pending.take() {
-            return Err(warp_fault(kernel, cta_flat, rp, &scratch.warp, vm_err));
-        }
-        #[cfg(feature = "fault-inject")]
-        crate::faults::maybe_slow_warp(cta_flat);
+        inject_warp_faults(&mut injected_fault_pending, kernel, cta_flat, rp, warp)?;
 
-        // Resolve the native code for this specialization up front (the
-        // first warp pays the emit; the rest hit the per-kernel cache).
-        // `None` — unsupported host or no native lowering — degrades the
-        // warp to the bytecode engine.
-        let jit = match config.engine {
-            Engine::Jit => compiled.jit(kernel),
-            Engine::Bytecode | Engine::Tree => None,
-        };
-        // Count the dispatch before executing: a warp that faults or is
-        // cancelled mid-body was still dispatched to its engine.
+        let jit = native_code(config.engine, &compiled, kernel);
         if tracing {
-            let engine_counter = match config.engine {
-                Engine::Bytecode => dpvk_trace::Counter::WarpsBytecode,
-                Engine::Tree => dpvk_trace::Counter::WarpsTree,
-                Engine::Jit if jit.is_some() => dpvk_trace::Counter::WarpsJit,
-                Engine::Jit => {
-                    dpvk_trace::add(dpvk_trace::Counter::JitFallbackWarps, 1);
-                    dpvk_trace::Counter::WarpsBytecode
-                }
-            };
-            dpvk_trace::add(engine_counter, 1);
+            count_dispatch(config.engine, jit.is_some());
         }
-        let mut mem = MemAccess {
-            global,
-            shared: &mut shared,
-            local: &mut local,
-            param: &req.param,
-            cbank: &req.cbank,
-        };
-        let outcome = match (config.engine, jit) {
-            (Engine::Jit, Some(jit)) => execute_warp_jit(
-                jit,
-                &compiled.bytecode,
-                &mut scratch.frame,
-                &mut scratch.warp,
-                rp,
-                &mut mem,
-                &mut stats.exec,
-                &config.limits,
-                Some(cancel),
-            ),
-            (Engine::Bytecode | Engine::Jit, _) => execute_warp_bytecode(
-                &compiled.bytecode,
-                &mut scratch.frame,
-                &mut scratch.warp,
-                rp,
-                &mut mem,
-                &mut stats.exec,
-                &config.limits,
-                Some(cancel),
-            ),
-            (Engine::Tree, _) => execute_warp_framed(
-                &compiled.function,
-                &compiled.frame,
-                &mut scratch.frame,
-                &compiled.cost,
-                req.cache.model(),
-                &mut scratch.warp,
-                rp,
-                &mut mem,
-                &mut stats.exec,
-                &config.limits,
-                Some(cancel),
-            ),
-        }
-        .map_err(|e| {
-            if matches!(e, VmError::Cancelled | VmError::Deadline) {
-                stats.exec.cancelled_warps += 1;
-            }
-            warp_fault(kernel, cta_flat, rp, &scratch.warp, e)
-        })?;
-        if (w as usize) < stats.warp_hist.len() {
-            stats.warp_hist[w as usize] += 1;
-        }
-        if tracing {
-            dpvk_trace::record_warp_entry(w, std::mem::take(&mut scan_total));
-            let reason = match outcome.status {
-                ResumeStatus::Exit => dpvk_trace::YieldReason::Exit,
-                ResumeStatus::Branch => dpvk_trace::YieldReason::Branch,
-                ResumeStatus::Barrier => dpvk_trace::YieldReason::Barrier,
-            };
-            dpvk_trace::record_yield(kernel, rp.max(0) as u32, reason, w);
-        }
-
-        stats.exec.cycles_manager += config.em_cost.per_yield_thread * w as u64;
-        match outcome.status {
-            ResumeStatus::Exit => {
-                exited += scratch.warp.len();
-                scratch.warp.clear();
-            }
-            ResumeStatus::Branch => {
-                for ctx in scratch.warp.drain(..) {
-                    if ctx.is_terminated() {
-                        exited += 1;
-                    } else {
-                        ready.push_back(ctx);
-                    }
-                }
-            }
-            ResumeStatus::Barrier => {
-                stats.exec.cycles_manager += config.em_cost.per_barrier_thread * w as u64;
-                barrier_pool.append(&mut scratch.warp);
-            }
-        }
-
-        // Barrier release: when every live thread has arrived, everyone
-        // resumes at the continuation entry point.
-        let alive = cta_size - exited;
-        if !barrier_pool.is_empty() && barrier_pool.len() == alive {
-            stats.exec.cycles_manager +=
-                config.em_cost.per_barrier_thread * barrier_pool.len() as u64;
-            ready.extend(barrier_pool.drain(..));
-        }
+        let status = WarpRunner::new(
+            config.engine,
+            &compiled,
+            jit,
+            model,
+            frame,
+            &mut mem,
+            &config.limits,
+            &req.token,
+        )
+        .run(warp, rp, &mut stats.exec, kernel, cta_flat)?;
+        retire_warp(config, kernel, stats, tracing, &mut scan_total, rp, w, status);
+        CtaQueues::route(q.ready, q.barrier, &mut q.exited, warp, status);
+        warp.clear();
+        q.release_barrier(em, stats);
     }
 
-    if !barrier_pool.is_empty() {
+    if !q.barrier.is_empty() {
         return Err(CoreError::BadLaunch(format!(
             "barrier deadlock in kernel `{kernel}`: {} thread(s) waiting, {} exited",
-            barrier_pool.len(),
-            exited
+            q.barrier.len(),
+            q.exited
         )));
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod oracle;

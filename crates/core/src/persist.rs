@@ -22,10 +22,19 @@
 //! the encoding changes** — the IR codec, the bytecode codec, or the
 //! layouts in this file (see DESIGN.md).
 //!
-//! **Atomicity.** Stores write a unique temp file in the cache
-//! directory and `rename(2)` it into place, so concurrent processes
-//! (e.g. parallel test binaries sharing `target/dpvk-cache/`) never
-//! observe partial artifacts.
+//! **Atomicity.** Stores write a temp file in the cache directory and
+//! `rename(2)` it into place, so concurrent processes (e.g. parallel
+//! test binaries sharing `target/dpvk-cache/`) never observe partial
+//! artifacts. Temp names are unique per process *and* per write — the
+//! sequence number is process-wide, and the file is created with
+//! `create_new` — so two stores in one process (two `Device`s sharing
+//! a directory) can never rename each other's bytes into place.
+//!
+//! **Self-checking loads.** A specialization artifact records the warp
+//! width and variant it was compiled for; a load that decodes to
+//! anything other than the requested `(width, variant)` is a miss and
+//! the file is deleted, so a misplaced artifact can never reach a warp
+//! of the wrong width.
 //!
 //! **Bounded size.** After each store the directory is trimmed to
 //! `DPVK_CACHE_CAP` bytes (default 256 MiB), evicting oldest-modified
@@ -33,6 +42,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,7 +58,7 @@ use crate::translate::TranslatedKernel;
 /// container, [`dpvk_ir::serial`], or [`dpvk_vm::serial`]). Old
 /// artifacts then hash to different keys and are evicted by the size
 /// cap instead of being misread.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"DPVKART\x01";
 
@@ -147,12 +157,15 @@ pub(crate) struct SpecMeta {
     pub jit_code_bytes: u64,
 }
 
+/// Distinguishes temp files written concurrently by this process,
+/// across every store (a per-store counter let two stores in one
+/// process write the same temp path).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Handle to an opened cache directory.
 pub(crate) struct PersistStore {
     dir: PathBuf,
     cap_bytes: u64,
-    /// Distinguishes temp files written concurrently by this process.
-    tmp_seq: AtomicU64,
 }
 
 impl PersistStore {
@@ -160,7 +173,7 @@ impl PersistStore {
     /// persistence off — when the directory cannot be created.
     pub(crate) fn open(cfg: PersistConfig) -> Option<Self> {
         fs::create_dir_all(&cfg.dir).ok()?;
-        Some(PersistStore { dir: cfg.dir, cap_bytes: cfg.cap_bytes, tmp_seq: AtomicU64::new(0) })
+        Some(PersistStore { dir: cfg.dir, cap_bytes: cfg.cap_bytes })
     }
 
     /// Content key of a kernel's translation artifact.
@@ -219,15 +232,31 @@ impl PersistStore {
         self.write_artifact(&self.artifact_path(kernel, key, "tk"), KIND_TRANSLATION, &payload)
     }
 
-    /// Load a specialization artifact, or `None` on miss/corruption.
-    /// The decoded function is re-verified and the bytecode re-validated
-    /// (inside [`dpvk_vm::serial::program_from_bytes`]); either failing
-    /// is treated as corruption.
-    pub(crate) fn load_spec(&self, kernel: &str, key: u64) -> Option<SpecArtifact> {
+    /// Load the `(width, variant)` specialization artifact stored under
+    /// `key`, or `None` on miss/corruption. The decoded function is
+    /// re-verified and the bytecode re-validated (inside
+    /// [`dpvk_vm::serial::program_from_bytes`]); either failing, or the
+    /// artifact being compiled for another width or variant, is treated
+    /// as corruption.
+    pub(crate) fn load_spec(
+        &self,
+        kernel: &str,
+        key: u64,
+        width: u32,
+        variant: &str,
+    ) -> Option<SpecArtifact> {
         let path = self.artifact_path(kernel, key, "spec");
         let payload = self.read_artifact(&path, KIND_SPEC)?;
         match decode_spec(&payload) {
-            Ok(art) if dpvk_ir::verify(&art.function).is_ok() => Some(art),
+            Ok((w, v, art))
+                if w == width
+                    && v == variant
+                    && art.function.warp_size == width
+                    && art.bytecode.warp_size() == width
+                    && dpvk_ir::verify(&art.function).is_ok() =>
+            {
+                Some(art)
+            }
             _ => {
                 let _ = fs::remove_file(&path);
                 None
@@ -235,17 +264,23 @@ impl PersistStore {
         }
     }
 
-    /// Store a specialization artifact (best effort). Returns the
-    /// number of artifacts evicted enforcing the size cap.
+    /// Store the `(width, variant)` specialization artifact (best
+    /// effort). Returns the number of artifacts evicted enforcing the
+    /// size cap.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn store_spec(
         &self,
         kernel: &str,
         key: u64,
+        width: u32,
+        variant: &str,
         function: &dpvk_ir::Function,
         bytecode: &BytecodeProgram,
         meta: SpecMeta,
     ) -> u64 {
         let mut payload = Vec::with_capacity(1 << 14);
+        irs::put_u32(&mut payload, width);
+        irs::put_str(&mut payload, variant);
         irs::put_u64(&mut payload, meta.pre_opt_instructions as u64);
         irs::put_u64(&mut payload, meta.post_opt_instructions as u64);
         irs::put_u64(&mut payload, meta.jit_code_bytes);
@@ -346,13 +381,23 @@ impl PersistStore {
         h.update(payload);
         irs::put_u64(&mut buf, h.finish());
         buf.extend_from_slice(payload);
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        if fs::write(&tmp, &buf).is_ok() && fs::rename(&tmp, path).is_err() {
-            let _ = fs::remove_file(&tmp);
+        // `create_new` refuses a path that already exists (a stale file
+        // from a recycled pid), so a temp file only ever holds this
+        // write's bytes; such a name is skipped.
+        for _ in 0..4 {
+            let tmp = self.dir.join(format!(
+                ".tmp-{}-{}",
+                std::process::id(),
+                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let file = fs::OpenOptions::new().write(true).create_new(true).open(&tmp);
+            let Ok(mut file) = file else { continue };
+            let written = file.write_all(&buf).is_ok();
+            drop(file);
+            if !written || fs::rename(&tmp, path).is_err() {
+                let _ = fs::remove_file(&tmp);
+            }
+            break;
         }
         self.enforce_cap()
     }
@@ -566,8 +611,12 @@ fn decode_translation(bytes: &[u8]) -> SerialResult<TranslatedKernel> {
 // Specialization payload codec
 // ---------------------------------------------------------------------------
 
-fn decode_spec(bytes: &[u8]) -> SerialResult<SpecArtifact> {
+/// Decode a specialization payload: the `(width, variant)` it was
+/// compiled for, then the artifact.
+fn decode_spec(bytes: &[u8]) -> SerialResult<(u32, String, SpecArtifact)> {
     let mut r = Reader::new(bytes);
+    let width = r.take_u32()?;
+    let variant = r.take_str()?;
     let pre_opt_instructions = take_usize(&mut r)?;
     let post_opt_instructions = take_usize(&mut r)?;
     let jit_code_bytes = r.take_u64()?;
@@ -584,13 +633,14 @@ fn decode_spec(bytes: &[u8]) -> SerialResult<SpecArtifact> {
         return Err(SerialError::new("program length does not match payload"));
     }
     let bytecode = vms::program_from_bytes(&tail[tail.len() - plen..])?;
-    Ok(SpecArtifact {
+    let art = SpecArtifact {
         function,
         bytecode,
         pre_opt_instructions,
         post_opt_instructions,
         jit_code_bytes,
-    })
+    };
+    Ok((width, variant, art))
 }
 
 /// Decode a width manifest payload: count, then `(u32 width, str
@@ -682,10 +732,12 @@ done:
         let frame = FrameLayout::of(&spec.function);
         let program = BytecodeProgram::decode(&spec.function, &frame, &model, &cost);
         let key = PersistStore::spec_key(PersistStore::translation_key("m", SRC), 4, "dynamic");
-        assert!(store.load_spec("pk", key).is_none(), "cold cache must miss");
+        assert!(store.load_spec("pk", key, 4, "dynamic").is_none(), "cold cache must miss");
         store.store_spec(
             "pk",
             key,
+            4,
+            "dynamic",
             &spec.function,
             &program,
             SpecMeta {
@@ -694,13 +746,30 @@ done:
                 jit_code_bytes: 123,
             },
         );
-        let art = store.load_spec("pk", key).expect("warm cache must hit");
+        let art = store.load_spec("pk", key, 4, "dynamic").expect("warm cache must hit");
         assert_eq!(art.function, spec.function);
         assert_eq!(art.pre_opt_instructions, spec.pre_opt_instructions);
         assert_eq!(art.post_opt_instructions, spec.post_opt_instructions);
         assert_eq!(art.jit_code_bytes, 123, "advisory JIT metadata must round-trip");
         assert_eq!(art.bytecode.slots(), program.slots());
         assert_eq!(format!("{:?}", art.bytecode), format!("{program:?}"));
+
+        // The same bytes under a key asked for as another width or
+        // variant are a miss, and the misplaced file is scrubbed.
+        for (width, variant) in [(2, "dynamic"), (4, "static")] {
+            let path = store.artifact_path("pk", key, "spec");
+            assert!(store.load_spec("pk", key, width, variant).is_none(), "w{width} {variant}");
+            assert!(!path.exists(), "mismatched artifact must be deleted");
+            store.store_spec(
+                "pk",
+                key,
+                4,
+                "dynamic",
+                &spec.function,
+                &program,
+                SpecMeta { pre_opt_instructions: 0, post_opt_instructions: 0, jit_code_bytes: 0 },
+            );
+        }
     }
 
     #[test]

@@ -1009,7 +1009,9 @@ pub(crate) fn exec_un(
 /// [`execute_warp_framed`](crate::interp::execute_warp_framed): same
 /// contract, same errors, bit-identical modeled cycles, [`ExecStats`]
 /// and memory effects. `scratch` is reused across calls and allocates
-/// nothing once grown (the program caches its slot count).
+/// nothing once grown (the program caches its slot count). A one-warp
+/// [`BytecodePass`]; execution managers running several consecutive
+/// warps through one program use the pass directly.
 ///
 /// # Errors
 ///
@@ -1031,20 +1033,98 @@ pub fn execute_warp_bytecode(
     limits: &ExecLimits,
     cancel: Option<&CancelToken>,
 ) -> Result<WarpOutcome, VmError> {
-    // The loop body is compiled twice: once generic, once with AVX2+FMA
-    // enabled so `mul_add` lowers to a single `vfmadd` (instead of a
-    // libm call) and the `[u64; 4]` chunk kernels widen to 256-bit
-    // vectors. Both produce bit-identical results — hardware FMA and
-    // libm `fma` are the same correctly-rounded IEEE operation — so the
-    // pick is purely a host-speed decision, made per warp call from the
-    // (cached) CPUID probe. Non-x86 hosts (e.g. aarch64, whose baseline
-    // already includes fused multiply-add) always take the generic twin.
-    #[cfg(target_arch = "x86_64")]
-    let simd =
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma");
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd = false;
+    BytecodePass::new(program, scratch, mem, limits, cancel).run_warp(ctxs, entry_id, stats)
+}
 
+/// A run of consecutive warps through one decoded program: the frame
+/// is sized and the host-feature probe made once, and each
+/// [`run_warp`](Self::run_warp) only zeroes the frame and runs the
+/// warp. Every warp call has exactly the contract of
+/// [`execute_warp_bytecode`].
+pub struct BytecodePass<'p, 'm> {
+    pub(crate) program: &'p BytecodeProgram,
+    pub(crate) regs: &'p mut [u64],
+    /// Whether `regs` still holds the zeroes `prepare_slots` wrote.
+    pub(crate) fresh: bool,
+    pub(crate) mem: &'p mut MemAccess<'m>,
+    pub(crate) limits: &'p ExecLimits,
+    pub(crate) cancel: Option<&'p CancelToken>,
+    simd: bool,
+}
+
+impl<'p, 'm> BytecodePass<'p, 'm> {
+    /// Bind `program` to a frame, memory view and limits for a run of
+    /// warps.
+    pub fn new(
+        program: &'p BytecodeProgram,
+        scratch: &'p mut RegFrame,
+        mem: &'p mut MemAccess<'m>,
+        limits: &'p ExecLimits,
+        cancel: Option<&'p CancelToken>,
+    ) -> Self {
+        // The loop body is compiled twice: once generic, once with
+        // AVX2+FMA enabled so `mul_add` lowers to a single `vfmadd`
+        // (instead of a libm call) and the `[u64; 4]` chunk kernels
+        // widen to 256-bit vectors. Both produce bit-identical results —
+        // hardware FMA and libm `fma` are the same correctly-rounded IEEE
+        // operation — so the pick is purely a host-speed decision, made
+        // once per pass from the (cached) CPUID probe. Non-x86 hosts
+        // (e.g. aarch64, whose baseline already includes fused
+        // multiply-add) always take the generic twin.
+        #[cfg(target_arch = "x86_64")]
+        let simd = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let simd = false;
+        let regs = scratch.prepare_slots(program.slots);
+        BytecodePass { program, regs, fresh: true, mem, limits, cancel, simd }
+    }
+
+    /// Execute one warp, starting at µop 0.
+    ///
+    /// # Errors
+    ///
+    /// See [`execute_warp_bytecode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctxs.len() != program.warp_size()`.
+    pub fn run_warp(
+        &mut self,
+        ctxs: &mut [ThreadContext],
+        entry_id: i64,
+        stats: &mut ExecStats,
+    ) -> Result<WarpOutcome, VmError> {
+        if !std::mem::take(&mut self.fresh) {
+            self.regs.fill(0);
+        }
+        run_program(
+            self.simd,
+            self.program,
+            self.regs,
+            ctxs,
+            entry_id,
+            self.mem,
+            stats,
+            self.limits,
+            self.cancel,
+        )
+    }
+}
+
+/// One warp over a zeroed, sized frame: the profiled or plain loop.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_program(
+    simd: bool,
+    program: &BytecodeProgram,
+    regs: &mut [u64],
+    ctxs: &mut [ThreadContext],
+    entry_id: i64,
+    mem: &mut MemAccess<'_>,
+    stats: &mut ExecStats,
+    limits: &ExecLimits,
+    cancel: Option<&CancelToken>,
+) -> Result<WarpOutcome, VmError> {
     // Profiled warps run the same loop monomorphized over `UopCounts`;
     // the per-warp histogram lives on the stack and flushes to the
     // global profile in one call after the warp returns, so the loop
@@ -1055,7 +1135,7 @@ pub fn execute_warp_bytecode(
             let result = dispatch(
                 simd,
                 program,
-                scratch,
+                regs,
                 ctxs,
                 entry_id,
                 mem,
@@ -1077,7 +1157,7 @@ pub fn execute_warp_bytecode(
             return result;
         }
     }
-    dispatch(simd, program, scratch, ctxs, entry_id, mem, stats, limits, cancel, &mut NoProfile)
+    dispatch(simd, program, regs, ctxs, entry_id, mem, stats, limits, cancel, &mut NoProfile)
 }
 
 /// Route one warp call to the SIMD or portable twin of the loop.
@@ -1086,7 +1166,7 @@ pub fn execute_warp_bytecode(
 fn dispatch<P: UopSink>(
     simd: bool,
     program: &BytecodeProgram,
-    scratch: &mut RegFrame,
+    regs: &mut [u64],
     ctxs: &mut [ThreadContext],
     entry_id: i64,
     mem: &mut MemAccess<'_>,
@@ -1099,21 +1179,21 @@ fn dispatch<P: UopSink>(
     if simd {
         // SAFETY: the caller verified AVX2 and FMA support at runtime.
         return unsafe {
-            exec_loop_simd(program, scratch, ctxs, entry_id, mem, stats, limits, cancel, prof)
+            exec_loop_simd(program, regs, ctxs, entry_id, mem, stats, limits, cancel, prof)
         };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    exec_loop(program, scratch, ctxs, entry_id, mem, stats, limits, cancel, prof)
+    exec_loop(program, regs, ctxs, entry_id, mem, stats, limits, cancel, prof)
 }
 
-/// The AVX2+FMA twin of [`exec_loop`]; see [`execute_warp_bytecode`].
+/// The AVX2+FMA twin of [`exec_loop`]; see [`BytecodePass::new`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn exec_loop_simd<P: UopSink>(
     program: &BytecodeProgram,
-    scratch: &mut RegFrame,
+    regs: &mut [u64],
     ctxs: &mut [ThreadContext],
     entry_id: i64,
     mem: &mut MemAccess<'_>,
@@ -1122,7 +1202,7 @@ unsafe fn exec_loop_simd<P: UopSink>(
     cancel: Option<&CancelToken>,
     prof: &mut P,
 ) -> Result<WarpOutcome, VmError> {
-    exec_loop(program, scratch, ctxs, entry_id, mem, stats, limits, cancel, prof)
+    exec_loop(program, regs, ctxs, entry_id, mem, stats, limits, cancel, prof)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1132,7 +1212,7 @@ unsafe fn exec_loop_simd<P: UopSink>(
 #[inline(always)]
 fn exec_loop<P: UopSink>(
     program: &BytecodeProgram,
-    scratch: &mut RegFrame,
+    regs: &mut [u64],
     ctxs: &mut [ThreadContext],
     entry_id: i64,
     mem: &mut MemAccess<'_>,
@@ -1148,7 +1228,6 @@ fn exec_loop<P: UopSink>(
         ctxs.len(),
         program.warp_size
     );
-    let regs = scratch.prepare_slots(program.slots);
     let code = program.code.as_slice();
     let mut pc: usize = 0;
     let mut status: Option<ResumeStatus> = None;

@@ -9,7 +9,7 @@ use dpvk_ir::EXIT_ENTRY_ID;
 /// The layout is `repr(C)` so the JIT tier (`crate::jit`) can address
 /// fields with compile-time offsets; field order is part of that
 /// contract.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C)]
 pub struct ThreadContext {
     /// Thread index within its CTA.

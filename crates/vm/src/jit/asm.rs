@@ -15,6 +15,8 @@ pub const RBP: u8 = 5;
 pub const RSI: u8 = 6;
 pub const RDI: u8 = 7;
 pub const R11: u8 = 11;
+pub const R12: u8 = 12;
+pub const R13: u8 = 13;
 pub const R15: u8 = 15;
 
 /// XMM register encodings (only 0–7 are used, so no REX.R/B plumbing

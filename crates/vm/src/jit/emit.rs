@@ -18,8 +18,17 @@
 //!
 //! Register conventions inside generated code:
 //!   r15 = &JitEnv      rbx = register-frame base
+//!   r12 = `executed`   r13 = `cycles` (the running block cycles)
 //!   rbp = value kept live across helper calls (poll clobbers the rest)
 //!   rax/rcx/rdx/rsi/rdi/r11, xmm0-2 = scratch
+//!
+//! `executed` and `cycles` change on every µop, so they live in
+//! callee-saved registers instead of `JitEnv`: a memory counter would
+//! put a load-add-store chain on every template. They are written back
+//! to `JitEnv` before each call into a helper that reads or charges
+//! them (`jit_poll`, `jit_step`, `jit_run_from`, `jit_fail`) and at
+//! exit, and reloaded after helpers that charge, so every helper and
+//! fault point observes exactly the values the memory counters held.
 
 use std::mem::offset_of;
 
@@ -31,7 +40,8 @@ use crate::bytecode::{
 };
 use crate::context::ThreadContext;
 use crate::jit::asm::{
-    Alu, Asm, Cc, Fixup, Sh, Sse, R11, R15, RAX, RBP, RBX, RCX, RDI, RDX, RSI, XMM0, XMM1, XMM2,
+    Alu, Asm, Cc, Fixup, Sh, Sse, R11, R12, R13, R15, RAX, RBP, RBX, RCX, RDI, RDX, RSI, XMM0,
+    XMM1, XMM2,
 };
 use crate::jit::rt::{
     jit_f2i, jit_fail, jit_poll, jit_run_from, jit_step, JitEnv, FAIL_FLOAT_SWITCH, FAIL_WATCHDOG,
@@ -236,25 +246,44 @@ impl Emitter<'_> {
         a.push(RBP);
         a.push(RBX);
         a.push(R15);
-        // Three pushes after the call's return address leave rsp
+        a.push(R12);
+        a.push(R13);
+        // Five pushes after the call's return address leave rsp
         // 16-aligned at every helper call site below.
         a.mov_rr(R15, RDI);
         a.load(RBX, R15, ENV_REGS);
+        a.load(R12, R15, ENV_EXECUTED);
+        a.load(R13, R15, ENV_CYCLES);
+    }
+
+    /// Write the register-resident counters back to `JitEnv`.
+    fn flush_counters(&mut self) {
+        self.asm.store(R15, ENV_EXECUTED, R12);
+        self.asm.store(R15, ENV_CYCLES, R13);
+    }
+
+    /// Reload the register-resident counters after a helper that
+    /// charged through `JitEnv`.
+    fn reload_counters(&mut self) {
+        self.asm.load(R12, R15, ENV_EXECUTED);
+        self.asm.load(R13, R15, ENV_CYCLES);
     }
 
     /// The interpreter's `tick!`: bump `executed`, trip the watchdog,
     /// poll cancel/deadline when the counter crosses `next_poll`.
     fn tick(&mut self) {
         let a = &mut self.asm;
-        a.load(RAX, R15, ENV_EXECUTED);
-        a.alu_ri(Alu::Add, RAX, 1);
-        a.store(R15, ENV_EXECUTED, RAX);
-        a.alu_rm(Alu::Cmp, RAX, R15, ENV_MAX_INSTRUCTIONS);
+        a.alu_ri(Alu::Add, R12, 1);
+        a.alu_rm(Alu::Cmp, R12, R15, ENV_MAX_INSTRUCTIONS);
         let wd = a.jcc_fwd(Cc::A);
         self.watchdog_fixups.push(wd);
         let a = &mut self.asm;
-        a.alu_rm(Alu::Cmp, RAX, R15, ENV_NEXT_POLL);
+        a.alu_rm(Alu::Cmp, R12, R15, ENV_NEXT_POLL);
         let skip = a.jcc_fwd(Cc::B);
+        // `jit_poll` reads `executed` and writes only `next_poll`, so
+        // the counters need no reload after it.
+        self.flush_counters();
+        let a = &mut self.asm;
         a.mov_rr(RDI, R15);
         a.mov_ri(R11, addr_poll());
         a.call_reg(R11);
@@ -270,7 +299,7 @@ impl Emitter<'_> {
         self.tick();
         let a = &mut self.asm;
         if meta.cost != 0 {
-            a.alu_mi(Alu::Add, R15, ENV_CYCLES, meta.cost as i32);
+            a.alu_ri(Alu::Add, R13, meta.cost as i32);
         }
         if meta.flops != 0 {
             a.alu_mi(Alu::Add, R15, ENV_FLOPS, meta.flops as i32);
@@ -297,40 +326,49 @@ impl Emitter<'_> {
     /// cycles flush to the body/yield bucket.
     fn retire(&mut self, term: TermInfo) {
         if term.cost != 0 {
-            self.asm.alu_mi(Alu::Add, R15, ENV_CYCLES, term.cost as i32);
+            self.asm.alu_ri(Alu::Add, R13, term.cost as i32);
         }
         self.tick();
         let a = &mut self.asm;
         if term.insts != 0 {
             a.alu_mi(Alu::Add, R15, ENV_INSTRUCTIONS, term.insts as i32);
         }
-        a.load(RAX, R15, ENV_CYCLES);
         let bucket = if term.overhead { ENV_CYCLES_YIELD } else { ENV_CYCLES_BODY };
-        a.alu_mr(Alu::Add, R15, bucket, RAX);
-        a.store_imm(R15, ENV_CYCLES, 0);
+        a.alu_mr(Alu::Add, R15, bucket, R13);
+        a.alu_rr32(Alu::Xor, R13, R13);
     }
 
     /// Call `jit_step(env, idx)`: the full-µop interpreter fallback.
+    /// The helper charges through `JitEnv`, so the counters are flushed
+    /// before and reloaded after — before the error test, so the exit
+    /// path writes back what the helper left.
     fn call_step(&mut self, idx: u32) {
+        self.flush_counters();
         let a = &mut self.asm;
         a.mov_rr(RDI, R15);
         a.mov_ri(RSI, idx as u64);
         a.mov_ri(R11, addr_step());
         a.call_reg(R11);
+        self.reload_counters();
+        let a = &mut self.asm;
         a.test_rr32(RAX, RAX);
         let err = a.jcc_fwd(Cc::Ne);
         self.err_fixups.push(err);
     }
 
     /// Call `jit_run_from(env, idx, comp)`: resume a run µop at a
-    /// component whose inline bounds check failed.
+    /// component whose inline bounds check failed. Counters flushed and
+    /// reloaded as for [`Self::call_step`].
     fn call_run_from(&mut self, idx: u32, comp: u32) {
+        self.flush_counters();
         let a = &mut self.asm;
         a.mov_rr(RDI, R15);
         a.mov_ri(RSI, idx as u64);
         a.mov_ri(RDX, comp as u64);
         a.mov_ri(R11, addr_run_from());
         a.call_reg(R11);
+        self.reload_counters();
+        let a = &mut self.asm;
         a.test_rr32(RAX, RAX);
         let err = a.jcc_fwd(Cc::Ne);
         self.err_fixups.push(err);
@@ -1302,6 +1340,7 @@ impl Emitter<'_> {
         }
         self.asm.mov_ri(RSI, FAIL_FLOAT_SWITCH as u64);
         self.asm.bind(to_fail);
+        self.flush_counters();
         self.asm.mov_rr(RDI, R15);
         self.asm.mov_ri(R11, addr_fail());
         self.asm.call_reg(R11);
@@ -1316,6 +1355,9 @@ impl Emitter<'_> {
         }
         self.asm.alu_rr32(Alu::Xor, RAX, RAX);
         self.asm.bind(to_exit);
+        self.flush_counters();
+        self.asm.pop(R13);
+        self.asm.pop(R12);
         self.asm.pop(R15);
         self.asm.pop(RBX);
         self.asm.pop(RBP);

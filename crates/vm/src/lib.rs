@@ -68,7 +68,7 @@ mod memory;
 pub mod serial;
 mod stats;
 
-pub use bytecode::{execute_warp_bytecode, BytecodeProgram, DecodeStats};
+pub use bytecode::{execute_warp_bytecode, BytecodePass, BytecodeProgram, DecodeStats};
 pub use cancel::CancelToken;
 pub use context::ThreadContext;
 pub use cost::{inst_cost, inst_flops, term_cost, CostInfo};
@@ -77,7 +77,7 @@ pub use frame::{FrameLayout, RegFrame};
 pub use interp::{execute_warp, execute_warp_framed, ExecLimits, WarpOutcome};
 pub use jit::{
     compile as jit_compile, execute_warp_jit, jit_inline_width_cap, jit_supported, JitEmitStats,
-    JitProgram,
+    JitPass, JitProgram,
 };
 pub use machine::MachineModel;
 pub use memory::{GlobalMem, MemAccess};

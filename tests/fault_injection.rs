@@ -116,8 +116,11 @@ fn injected_panic_is_contained_and_prior_ctas_complete() {
     }
 
     // The device (cache, heap, global memory) survives the contained
-    // panic: a clean relaunch on the same device succeeds.
+    // panic: a clean relaunch on the same device succeeds. Hold the gate
+    // with an empty plan for it, so another test's plan cannot land on
+    // the relaunch.
     drop(guard);
+    let _clean = install(FaultPlan::default());
     let (result, out) = launch_triple(&dev, 4, 8, 32, &ExecConfig::dynamic(4).with_workers(1));
     result.unwrap();
     assert!(out.iter().enumerate().all(|(i, &v)| v == (i as u32) * 3));
@@ -181,8 +184,10 @@ fn panic_in_one_async_launch_fails_only_its_handle() {
     );
 
     // The pool's worker threads survived the contained panic: with the
-    // plan uninstalled, the same device runs the victim grid cleanly.
+    // plan uninstalled, the same device runs the victim grid cleanly
+    // (holding the gate with an empty plan, as above).
     drop(guard);
+    let _clean = install(FaultPlan::default());
     dev.copy_u32_htod(pv, &(0..n_victim).collect::<Vec<_>>()).unwrap();
     dev.launch(
         "triple",

@@ -138,3 +138,90 @@ fn disk_cache_survives_unrelated_corruption() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Collatz step counts, the kernel's expected output.
+fn collatz_steps(input: &[u32]) -> Vec<u32> {
+    input
+        .iter()
+        .map(|&v| {
+            let (mut v, mut steps) = (v, 0);
+            while v > 1 {
+                v = if v % 2 == 0 { v / 2 } else { 3 * v + 1 };
+                steps += 1;
+            }
+            steps
+        })
+        .collect()
+}
+
+/// Launch `collatz` on `dev` under `config` and check its output.
+fn launch_checked(dev: &Device, config: &ExecConfig) -> Result<(), String> {
+    let n = 96u32;
+    let input: Vec<u32> = (0..n).map(|i| i * 7 + 1).collect();
+    let buf = dev.alloc(n as usize * 4).map_err(|e| e.to_string())?;
+    dev.copy_u32_htod(buf.ptr(), &input).map_err(|e| e.to_string())?;
+    dev.launch(
+        "collatz",
+        [n.div_ceil(32), 1, 1],
+        [32, 1, 1],
+        &[ParamValue::Ptr(buf.ptr()), ParamValue::U32(n)],
+        config,
+    )
+    .map_err(|e| format!("{:?} w{}: {e}", config.policy, config.max_warp))?;
+    let out = dev.copy_u32_dtoh(buf.ptr(), n as usize).map_err(|e| e.to_string())?;
+    if out != collatz_steps(&input) {
+        return Err(format!("{:?} w{}: wrong output", config.policy, config.max_warp));
+    }
+    Ok(())
+}
+
+#[test]
+fn devices_sharing_a_directory_never_load_another_widths_artifact() {
+    // Devices in one process each own a cache store over the same
+    // directory and write different widths of one kernel at once. Every
+    // artifact a fresh device later loads must be the one for the width
+    // it asked for: a wrong-width program must never reach a warp.
+    let configs: Vec<ExecConfig> = [1, 2, 4, 8]
+        .map(ExecConfig::dynamic)
+        .into_iter()
+        .chain([2, 4, 8].map(ExecConfig::static_tie))
+        .map(|c| c.with_workers(1))
+        .collect();
+    for round in 0..16 {
+        let dir = cache_dir(&format!("shared-{round}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = std::sync::Barrier::new(configs.len());
+        let writers: Vec<Result<(), String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = configs
+                .iter()
+                .map(|config| {
+                    let (dir, start) = (&dir, &start);
+                    s.spawn(move || {
+                        let dev = Device::with_persist(
+                            MachineModel::sandybridge_sse(),
+                            1 << 20,
+                            Some(PersistConfig::at(dir)),
+                        );
+                        dev.register_source(KERNEL).unwrap();
+                        start.wait();
+                        launch_checked(&dev, config)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for r in writers {
+            r.unwrap_or_else(|e| panic!("round {round}, writer: {e}"));
+        }
+        for config in &configs {
+            let dev = Device::with_persist(
+                MachineModel::sandybridge_sse(),
+                1 << 20,
+                Some(PersistConfig::at(&dir)),
+            );
+            dev.register_source(KERNEL).unwrap();
+            launch_checked(&dev, config).unwrap_or_else(|e| panic!("round {round}, reader: {e}"));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
