@@ -84,7 +84,7 @@ loop:
 fn warm_dispatch_does_not_allocate_per_warp() {
     let dev = Device::new(MachineModel::sandybridge_sse(), 1 << 20);
     dev.register_source(SPIN).unwrap();
-    for engine in [Engine::Bytecode, Engine::Tree] {
+    for engine in [Engine::Bytecode, Engine::Tree, Engine::Jit] {
         let config = ExecConfig::dynamic(4).with_workers(1).with_engine(engine);
         let launch = |iters: u32| {
             dev.launch("spin", [1, 1, 1], [32, 1, 1], &[ParamValue::U32(iters)], &config).unwrap()
@@ -115,6 +115,21 @@ fn warm_dispatch_does_not_allocate_per_warp() {
             delta < (big_warps - small_warps) / 8,
             "[{engine:?}] warm dispatch allocated per warp: {small_allocs} allocs for \
              {small_warps} warps vs {big_allocs} allocs for {big_warps} warps"
+        );
+
+        // Nor per CTA: thread queues, barrier pool and shared/local
+        // memory are reused from the worker's scratch. The slack covers
+        // a pool worker whose scratch is still cold growing it once, far
+        // below one allocation per extra CTA.
+        let grid = |ctas: u32| {
+            dev.launch("spin", [ctas, 1, 1], [32, 1, 1], &[ParamValue::U32(4)], &config).unwrap()
+        };
+        grid(130);
+        let (few, _) = count_allocs(|| grid(2));
+        let (many, _) = count_allocs(|| grid(130));
+        assert!(
+            many.saturating_sub(few) < 64,
+            "[{engine:?}] launches allocated per CTA: {few} allocs for 2 CTAs vs {many} for 130"
         );
     }
 }
