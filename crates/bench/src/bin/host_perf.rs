@@ -25,8 +25,10 @@
 //!   populated directory (warm restart: rehydrate artifacts from disk),
 //!   and report the speedup
 //! * `--engine E` — guest engine to benchmark: `bytecode` (the
-//!   pre-decoded default), `tree` (the tree-walk oracle), or `jit`
-//!   (the native copy-and-patch tier)
+//!   pre-decoded interpreter), `tree` (the tree-walk oracle), or `jit`
+//!   (the native copy-and-patch tier). Defaults to `Engine::default()`:
+//!   `jit` where the host supports it, else `bytecode`. `DPVK_ENGINE`
+//!   does not change it; pass `--engine` to pin one.
 //! * `--streams N` — additionally benchmark the stream API: warm
 //!   submit-to-complete launch latency on one stream, and launches/sec
 //!   with the same total work spread round-robin over 1 vs N streams

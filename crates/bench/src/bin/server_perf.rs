@@ -25,11 +25,17 @@
 //! * `fault` — baseline load with a budgeted worker-panic plan
 //!   installed: the retry ladder must absorb the panics (non-zero
 //!   retries, zero typed errors).
+//!
+//! The server runs on the session default engine (the JIT where the
+//! host supports it; `DPVK_ENGINE` overrides it). `--out` records that
+//! engine with the host's `nproc`, CPU and commit, and flags scenarios
+//! with more clients than cores, whose latencies measure contention.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use dpvk_bench::format_table;
+use dpvk_bench::{format_table, HostInfo};
+use dpvk_core::Engine;
 use dpvk_server::{Client, LaunchSpec, Response, Server, ServerConfig, WireBuffer, WireParam};
 use dpvk_vm::MachineModel;
 
@@ -244,11 +250,20 @@ fn run_fault_scenario(clients: usize, iters: u64) -> ScenarioResult {
     result
 }
 
-fn render_json(results: &[ScenarioResult]) -> String {
+/// `s` as a JSON string literal body (quotes and backslashes escaped).
+fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+fn render_json(results: &[ScenarioResult], engine: Engine, host: &HostInfo) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"server_perf\",\n");
     out.push_str("  \"unit\": \"ns_submit_to_complete_over_tcp\",\n");
+    out.push_str(&format!("  \"engine\": \"{}\",\n", engine.label()));
+    out.push_str(&format!("  \"nproc\": {},\n", host.nproc));
+    out.push_str(&format!("  \"cpu\": \"{}\",\n", json_escape(&host.cpu)));
+    out.push_str(&format!("  \"commit\": \"{}\",\n", json_escape(&host.commit)));
     out.push_str(&format!("  \"elements_per_launch\": {N},\n"));
     out.push_str("  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -257,7 +272,7 @@ fn render_json(results: &[ScenarioResult]) -> String {
             "    {{\"scenario\": \"{}\", \"clients\": {}, \"capacity\": {}, \
              \"requests\": {}, \"completed\": {}, \"shed\": {}, \"errors\": {}, \
              \"retries\": {}, \"degraded\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"launches_per_sec\": {:.1}}}{comma}\n",
+             \"launches_per_sec\": {:.1}, \"clients_over_nproc\": {}}}{comma}\n",
             r.scenario,
             r.clients,
             r.capacity,
@@ -269,7 +284,8 @@ fn render_json(results: &[ScenarioResult]) -> String {
             r.degraded,
             r.p50_ns,
             r.p99_ns,
-            r.launches_per_sec
+            r.launches_per_sec,
+            r.clients > host.nproc
         ));
     }
     out.push_str("  ]\n");
@@ -285,6 +301,14 @@ fn main() {
 
     let (iters, baseline_clients) = if quick { (12, CAPACITY) } else { (60, CAPACITY) };
     let overload_clients = 2 * baseline_clients;
+    let engine = Engine::from_env();
+    let host = HostInfo::capture();
+    eprintln!(
+        "server_perf: {} engine, nproc {}, commit {}",
+        engine.label(),
+        host.nproc,
+        host.commit
+    );
 
     let mut results = Vec::new();
     eprintln!("server_perf: baseline ({baseline_clients} clients, {iters} iters each)...");
@@ -352,7 +376,7 @@ fn main() {
     }
 
     if let Some(path) = out_path {
-        std::fs::write(&path, render_json(&results)).expect("write results");
+        std::fs::write(&path, render_json(&results, engine, &host)).expect("write results");
         eprintln!("server_perf: wrote {path}");
     }
     if let Err(e) = dpvk_trace::write_if_enabled() {

@@ -143,6 +143,41 @@ pub fn gflops(stats: &LaunchStats, model: &MachineModel) -> f64 {
     stats.exec.flops as f64 * model.clock_ghz * model.cores as f64 / cycles as f64
 }
 
+/// Host facts a committed wall-clock result is only comparable under.
+#[derive(Debug, Clone)]
+pub struct HostInfo {
+    /// Host parallelism (`available_parallelism`).
+    pub nproc: usize,
+    /// CPU model name from `/proc/cpuinfo`, `unknown` elsewhere.
+    pub cpu: String,
+    /// `git describe --always --dirty` of the working directory,
+    /// `unknown` outside a git checkout.
+    pub commit: String,
+}
+
+impl HostInfo {
+    /// Read the facts of the running host and checkout.
+    pub fn capture() -> Self {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, v)| v.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=12"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".into());
+        HostInfo { nproc: std::thread::available_parallelism().map_or(1, |n| n.get()), cpu, commit }
+    }
+}
+
 /// Render an aligned text table.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

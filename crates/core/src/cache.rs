@@ -93,8 +93,9 @@ pub struct CompiledKernel {
     /// execute against a flat reusable frame with no per-warp setup.
     pub frame: FrameLayout,
     /// The function pre-decoded to linear bytecode, built once here so
-    /// the default engine's inner loop is a flat `match` over µops with
-    /// no per-warp tree walk.
+    /// the bytecode engine's inner loop is a flat `match` over µops with
+    /// no per-warp tree walk. It is also the input of the native tier
+    /// below and what that tier falls back to per warp.
     pub bytecode: BytecodeProgram,
     /// Static instruction count before optimization.
     pub pre_opt_instructions: usize,

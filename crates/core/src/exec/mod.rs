@@ -66,22 +66,38 @@ pub enum FormationPolicy {
 
 /// Which guest engine runs warp bodies. All engines execute the same
 /// compiled specialization and charge modeled cycles identically; they
-/// differ only in host-side speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// differ only in host-side speed. The default is the fastest engine
+/// the host can run (see [`Engine::default`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The pre-decoded linear-bytecode engine (default): operands
-    /// resolved to frame slots at compile time, hot pairs fused, inner
-    /// loop a flat `match` over µops.
-    #[default]
+    /// The pre-decoded linear-bytecode engine: operands resolved to
+    /// frame slots at compile time, hot pairs fused, inner loop a flat
+    /// `match` over µops. The default on hosts without the native tier,
+    /// the JIT's per-warp fallback, and the differential reference.
     Bytecode,
     /// The tree-walking interpreter over the IR, kept as the
     /// differential oracle for the bytecode engine.
     Tree,
-    /// The native tier: the µop stream copy-and-patch compiled to
-    /// x86-64 in-process, cached per specialization in the translation
-    /// cache. Falls back to the bytecode engine per warp when the host
-    /// cannot emit native code.
+    /// The native tier (default where [`dpvk_vm::jit_supported`]): the
+    /// µop stream copy-and-patch compiled to x86-64 in-process, cached
+    /// per specialization in the translation cache. Falls back to the
+    /// bytecode engine per warp when it cannot emit native code.
     Jit,
+}
+
+impl Default for Engine {
+    /// The fastest verified engine on this host: [`Engine::Jit`] when
+    /// [`dpvk_vm::jit_supported`], else [`Engine::Bytecode`]. Hosts
+    /// without the native tier never default to it, so
+    /// `jit_fallback_warps` still means "the JIT was asked for and could
+    /// not run", not a per-warp stream on every such host.
+    fn default() -> Self {
+        if dpvk_vm::jit_supported() {
+            Engine::Jit
+        } else {
+            Engine::Bytecode
+        }
+    }
 }
 
 impl Engine {
@@ -112,9 +128,9 @@ impl Engine {
 
     /// The session default: `Engine::default()` unless overridden by
     /// `DPVK_ENGINE={bytecode,tree,jit}`. The env hook lets CI rerun a
-    /// whole reproduction binary on another engine and diff its output
-    /// against the bytecode engine without per-binary flags. Read once;
-    /// explicit `with_engine` calls are unaffected.
+    /// whole reproduction binary or test suite on another engine and
+    /// diff its output without per-binary flags. Read once; explicit
+    /// `with_engine` calls are unaffected.
     ///
     /// # Panics
     ///
@@ -797,6 +813,21 @@ entry:
         assert!(err.to_string().contains("sometimes"), "{err}");
         assert_eq!(AdaptConfig::default().mode, AdaptMode::Off);
         assert_eq!(AdaptConfig::off().with_threshold(0).hotness_threshold, 1);
+    }
+
+    #[test]
+    fn default_engine_is_the_jit_exactly_where_the_host_runs_it() {
+        let want = if dpvk_vm::jit_supported() { Engine::Jit } else { Engine::Bytecode };
+        assert_eq!(Engine::default(), want);
+        // Every constructed config (the server's vector and scalar rungs
+        // included) carries the session engine, so `DPVK_ENGINE` still
+        // overrides the default everywhere.
+        for config in [ExecConfig::dynamic(4), ExecConfig::baseline(), ExecConfig::static_tie(2)] {
+            assert_eq!(config.engine, Engine::from_env(), "{:?}", config.policy);
+        }
+        if std::env::var_os("DPVK_ENGINE").is_none() {
+            assert_eq!(Engine::from_env(), want);
+        }
     }
 
     #[test]

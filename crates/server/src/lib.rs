@@ -22,6 +22,11 @@
 //!   exhausted the launch falls back to the scalar baseline
 //!   specialization before a typed error
 //!   ([`CoreError::code`](dpvk_core::CoreError::code)) is surfaced.
+//! * **Native execution** — launches run on the session default
+//!   engine ([`Engine::default`](dpvk_core::Engine)): the JIT wherever
+//!   the host supports it, the bytecode interpreter elsewhere, or
+//!   whatever `DPVK_ENGINE` names. The degrade rung keeps the same
+//!   engine and changes only the specialization.
 //! * **Tenant isolation** — kernels are owned by the registering
 //!   tenant; inputs are re-uploaded per attempt so retries cannot see
 //!   another attempt's partial writes; per-tenant admission keeps one

@@ -20,8 +20,8 @@ use crate::ServerConfig;
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(20);
 
-/// The kernel service: owns the device (worker pool included), the
-/// tenant registry, the buffer pool and the listening socket.
+/// The kernel service: owns the device (worker pool and heap included),
+/// the tenant registry, the admission gate and the listening socket.
 ///
 /// Create with [`Server::bind`], then either run [`Server::serve`] on
 /// the current thread or [`Server::start`] a background thread and keep
@@ -314,6 +314,8 @@ impl Server {
         };
         let budget = Duration::from_millis(u64::from(deadline_ms));
 
+        // Both rungs run on the session engine (`Engine::from_env`):
+        // native code where the host supports it.
         let mut config = ExecConfig::dynamic(4);
         let mut attempts: u32 = 0;
         let mut degraded = false;

@@ -172,9 +172,9 @@ pub enum Counter {
     /// µops lowered to a call into the shared interpreter helper at JIT
     /// emit (no inline template for the op shape).
     JitHelperUops,
-    /// Warp executions requested under `DPVK_ENGINE=jit` that fell back
-    /// to the bytecode interpreter (unsupported host, emit failure, or
-    /// µop-profiling active).
+    /// Warp executions requested on the JIT engine that fell back to the
+    /// bytecode interpreter (emit declined, µop profiling active, or an
+    /// explicit JIT request on a host without the native tier).
     JitFallbackWarps,
     /// `Cmp`+`CondBr` pairs fused into compare-branch µops at decode.
     FusedCmpBr,

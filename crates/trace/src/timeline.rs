@@ -120,7 +120,7 @@ pub enum SpanKind {
     /// Pre-decoding a specialization into linear bytecode.
     Decode,
     /// Lowering a decoded specialization to native x86-64 (JIT emit,
-    /// cache-miss fill under `DPVK_ENGINE=jit`).
+    /// cache-miss fill on the JIT engine).
     JitEmit,
     /// One worker executing one chunk of the launch's CTAs.
     Execute,

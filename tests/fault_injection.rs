@@ -564,3 +564,66 @@ fn server_retries_injected_panic_and_leaves_other_tenants_bit_identical() {
 
     handle.shutdown();
 }
+
+#[test]
+fn server_vector_and_scalar_rungs_match_host_reference_on_default_engine() {
+    use dpvk::server::{Client, LaunchSpec, Response, Server, ServerConfig, WireBuffer, WireParam};
+
+    // The server runs on the session engine (`ExecConfig::dynamic` on
+    // the vector rung, `ExecConfig::baseline` on the degrade rung), so
+    // both rungs below execute on whatever `Engine::default()` picked
+    // for this host: native code wherever the JIT is supported.
+    let config = ServerConfig { max_retries: 1, backoff_base_ms: 1, ..ServerConfig::default() };
+    let vector_attempts = config.max_retries + 1;
+    // CTA 5 panics on every vectorized attempt of an 8-CTA launch; the
+    // budget runs out exactly as the ladder reaches the scalar rung.
+    let _guard = install(FaultPlan {
+        panic_at_cta: Some(5),
+        panic_budget: Some(vector_attempts),
+        ..Default::default()
+    });
+    let server = Server::bind(MachineModel::sandybridge_sse(), 8 << 20, config).unwrap();
+    let handle = server.start().unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.register("rungs", TRIPLE).unwrap(), Response::Registered);
+
+    let input = |n: u32| -> Vec<u32> { (0..n).map(|i| i.wrapping_mul(2_654_435_761)).collect() };
+    let spec = |n: u32| LaunchSpec {
+        tenant: "rungs".into(),
+        kernel: "triple".into(),
+        grid: [n.div_ceil(8), 1, 1],
+        block: [8, 1, 1],
+        deadline_ms: 0,
+        buffers: vec![WireBuffer {
+            bytes: input(n).into_iter().flat_map(u32::to_le_bytes).collect(),
+            read_back: true,
+        }],
+        params: vec![WireParam::Buffer(0), WireParam::U32(n)],
+    };
+    let check = |resp: Response, n: u32, want_attempts: u32, want_degraded: bool| match resp {
+        Response::Launched { attempts, degraded, outputs } => {
+            assert_eq!((attempts, degraded), (want_attempts, want_degraded), "n = {n}");
+            let out: Vec<u32> = outputs[0]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            let reference: Vec<u32> = input(n).into_iter().map(|v| v.wrapping_mul(3)).collect();
+            assert_eq!(out, reference, "n = {n}, degraded = {degraded}");
+        }
+        other => panic!("n = {n}: expected Launched, got {other:?}"),
+    };
+
+    // Vector rung: 5 CTAs (the last one partial) never reach CTA 5.
+    check(client.launch(spec(37)).unwrap(), 37, 1, false);
+
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let resp = client.launch(spec(61)).unwrap();
+    std::panic::set_hook(prev_hook);
+    // Scalar rung: every vectorized attempt panicked, the baseline ran.
+    check(resp, 61, vector_attempts + 1, true);
+
+    let stats = client.stats("rungs").unwrap();
+    assert_eq!((stats.completed, stats.retries, stats.degraded, stats.failed), (2, 1, 1, 0));
+    handle.shutdown();
+}
