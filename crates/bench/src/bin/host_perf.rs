@@ -32,7 +32,9 @@
 //! * `--streams N` — additionally benchmark the stream API: warm
 //!   submit-to-complete launch latency on one stream, and launches/sec
 //!   with the same total work spread round-robin over 1 vs N streams
-//! * `--out PATH` — write results as JSON (default: no file, stdout table)
+//! * `--out PATH` — write results as JSON (default: no file, stdout
+//!   table), with the engine, `nproc`, CPU model and commit they were
+//!   measured under
 //! * `--before P` — fold a previous results file in as the "before"
 //!   section and emit before/after/speedup in `--out`
 //! * `--check P` — compare against the `after` (or sole) results in a
@@ -51,7 +53,7 @@
 
 use std::time::Instant;
 
-use dpvk_bench::format_table;
+use dpvk_bench::{format_table, HostInfo};
 use dpvk_core::{AdaptConfig, Engine, ExecConfig, ParamValue};
 use dpvk_vm::MachineModel;
 use dpvk_workloads::{workload, Workload};
@@ -495,6 +497,7 @@ fn render_json(
     before: Option<&[Sample]>,
     after: &[Sample],
     engine: Engine,
+    host: &HostInfo,
     streams: Option<&StreamReport>,
     cold_start: Option<&[ColdStartSample]>,
     adaptive: Option<&[AdaptiveSample]>,
@@ -505,6 +508,7 @@ fn render_json(
     out.push_str("  \"unit\": \"ns_per_warm_launch\",\n");
     out.push_str("  \"policy\": \"dynamic_w4\",\n");
     out.push_str(&format!("  \"engine\": \"{}\",\n", engine.label()));
+    out.push_str(&host.json_fields());
     let emit = |out: &mut String, key: &str, rows: &[Sample], trailing: bool| {
         out.push_str(&format!("  \"{key}\": [\n"));
         for (i, s) in rows.iter().enumerate() {
@@ -846,6 +850,7 @@ fn main() {
                 before.as_deref(),
                 &results,
                 engine,
+                &HostInfo::capture(),
                 streams_report.as_ref(),
                 cold_results.as_deref(),
                 adaptive_results.as_deref(),

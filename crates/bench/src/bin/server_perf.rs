@@ -250,20 +250,13 @@ fn run_fault_scenario(clients: usize, iters: u64) -> ScenarioResult {
     result
 }
 
-/// `s` as a JSON string literal body (quotes and backslashes escaped).
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn render_json(results: &[ScenarioResult], engine: Engine, host: &HostInfo) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"server_perf\",\n");
     out.push_str("  \"unit\": \"ns_submit_to_complete_over_tcp\",\n");
     out.push_str(&format!("  \"engine\": \"{}\",\n", engine.label()));
-    out.push_str(&format!("  \"nproc\": {},\n", host.nproc));
-    out.push_str(&format!("  \"cpu\": \"{}\",\n", json_escape(&host.cpu)));
-    out.push_str(&format!("  \"commit\": \"{}\",\n", json_escape(&host.commit)));
+    out.push_str(&host.json_fields());
     out.push_str(&format!("  \"elements_per_launch\": {N},\n"));
     out.push_str("  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {

@@ -176,6 +176,18 @@ impl HostInfo {
             .unwrap_or_else(|| "unknown".into());
         HostInfo { nproc: std::thread::available_parallelism().map_or(1, |n| n.get()), cpu, commit }
     }
+
+    /// The `nproc`, `cpu` and `commit` members of a top-level JSON
+    /// object, one per line with a trailing comma, for a results file.
+    pub fn json_fields(&self) -> String {
+        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+        format!(
+            "  \"nproc\": {},\n  \"cpu\": \"{}\",\n  \"commit\": \"{}\",\n",
+            self.nproc,
+            esc(&self.cpu),
+            esc(&self.commit)
+        )
+    }
 }
 
 /// Render an aligned text table.
@@ -218,6 +230,15 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("app"));
         assert!(lines[3].starts_with("blackscholes"));
+    }
+
+    #[test]
+    fn host_json_fields_escape_strings() {
+        let host = HostInfo { nproc: 8, cpu: r#"Acme "X" \ 9"#.into(), commit: "abc-dirty".into() };
+        assert_eq!(
+            host.json_fields(),
+            "  \"nproc\": 8,\n  \"cpu\": \"Acme \\\"X\\\" \\\\ 9\",\n  \"commit\": \"abc-dirty\",\n"
+        );
     }
 
     #[test]

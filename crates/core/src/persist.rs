@@ -3,10 +3,11 @@
 //! The in-memory [`TranslationCache`](crate::cache::TranslationCache)
 //! dies with the process; every restart re-pays PTX parsing, translation
 //! and specialization for each kernel. This module persists the two
-//! expensive artifacts — the translated scalar kernel and each compiled
-//! specialization (specialized function + validated bytecode) — to a
-//! content-addressed directory so a cold process rehydrates them and
-//! skips the translate/specialize/decode pipeline entirely.
+//! expensive artifacts — the translated scalar kernel and each
+//! specialized function — as IR to a content-addressed directory, so a
+//! cold process rehydrates them and skips translation and
+//! specialization. Bytecode is not stored: the loader re-decodes it from
+//! the verified function, exactly as a fresh compile does.
 //!
 //! **Content addressing.** Artifact keys are FNV-1a64 hashes over the
 //! container format version, the machine-model name, the kernel's
@@ -19,8 +20,8 @@
 //! any mismatch (torn write, bit rot, format drift) deletes the file and
 //! reports a miss, so the worst case for a corrupt cache is a
 //! recompile. `FORMAT_VERSION` **must be bumped whenever any layer of
-//! the encoding changes** — the IR codec, the bytecode codec, or the
-//! layouts in this file (see DESIGN.md).
+//! the encoding changes** — the IR codec or the layouts in this file
+//! (see DESIGN.md).
 //!
 //! **Atomicity.** Stores write a temp file in the cache directory and
 //! `rename(2)` it into place, so concurrent processes (e.g. parallel
@@ -32,9 +33,10 @@
 //!
 //! **Self-checking loads.** A specialization artifact records the warp
 //! width and variant it was compiled for; a load that decodes to
-//! anything other than the requested `(width, variant)` is a miss and
-//! the file is deleted, so a misplaced artifact can never reach a warp
-//! of the wrong width.
+//! anything other than the requested `(width, variant)`, or to a
+//! function that fails [`dpvk_ir::verify`], is a miss and the file is
+//! deleted, so a misplaced or malformed artifact never reaches the
+//! bytecode decoder or a warp of the wrong width.
 //!
 //! **Bounded size.** After each store the directory is trimmed to
 //! `DPVK_CACHE_CAP` bytes (default 256 MiB), evicting oldest-modified
@@ -49,16 +51,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dpvk_ir::serial::{self as irs, Reader, SerialError, SerialResult};
 use dpvk_ir::{BlockId, VReg};
 use dpvk_trace::Counter;
-use dpvk_vm::serial as vms;
-use dpvk_vm::BytecodeProgram;
 
 use crate::translate::TranslatedKernel;
 
 /// Bump whenever the on-disk encoding changes at *any* layer (this
-/// container, [`dpvk_ir::serial`], or [`dpvk_vm::serial`]). Old
-/// artifacts then hash to different keys and are evicted by the size
-/// cap instead of being misread.
-pub const FORMAT_VERSION: u32 = 2;
+/// container or [`dpvk_ir::serial`]). Old artifacts then hash to
+/// different keys and are evicted by the size cap instead of being
+/// misread.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"DPVKART\x01";
 
@@ -130,31 +130,14 @@ fn default_cache_dir() -> PathBuf {
 
 /// A rehydrated specialization artifact: everything
 /// [`TranslationCache::get`](crate::cache::TranslationCache::get) needs
-/// to rebuild a `CompiledKernel` without specializing or decoding.
+/// to rebuild a `CompiledKernel` without specializing.
 pub(crate) struct SpecArtifact {
-    /// The specialized (vectorized) function.
+    /// The specialized (vectorized) function, already verified.
     pub function: dpvk_ir::Function,
-    /// The validated bytecode program (no profile tag attached yet).
-    pub bytecode: BytecodeProgram,
     /// Static instruction count before optimization.
     pub pre_opt_instructions: usize,
     /// Static instruction count after optimization.
     pub post_opt_instructions: usize,
-    /// Advisory: native code bytes the JIT emitted for this program in
-    /// the storing process (0 = not emitted). Machine code itself is
-    /// not relocatable across processes, so this is metadata only —
-    /// the loader still re-emits lazily and does not consult it.
-    #[allow(dead_code)]
-    pub jit_code_bytes: u64,
-}
-
-/// The scalar counters stored alongside a specialization artifact
-/// (everything in [`SpecArtifact`] that is not the code itself).
-#[derive(Clone, Copy)]
-pub(crate) struct SpecMeta {
-    pub pre_opt_instructions: usize,
-    pub post_opt_instructions: usize,
-    pub jit_code_bytes: u64,
 }
 
 /// Distinguishes temp files written concurrently by this process,
@@ -234,10 +217,8 @@ impl PersistStore {
 
     /// Load the `(width, variant)` specialization artifact stored under
     /// `key`, or `None` on miss/corruption. The decoded function is
-    /// re-verified and the bytecode re-validated (inside
-    /// [`dpvk_vm::serial::program_from_bytes`]); either failing, or the
-    /// artifact being compiled for another width or variant, is treated
-    /// as corruption.
+    /// re-verified; a verify failure, or the artifact being compiled for
+    /// another width or variant, is treated as corruption.
     pub(crate) fn load_spec(
         &self,
         kernel: &str,
@@ -252,7 +233,6 @@ impl PersistStore {
                 if w == width
                     && v == variant
                     && art.function.warp_size == width
-                    && art.bytecode.warp_size() == width
                     && dpvk_ir::verify(&art.function).is_ok() =>
             {
                 Some(art)
@@ -275,21 +255,15 @@ impl PersistStore {
         width: u32,
         variant: &str,
         function: &dpvk_ir::Function,
-        bytecode: &BytecodeProgram,
-        meta: SpecMeta,
+        pre_opt_instructions: usize,
+        post_opt_instructions: usize,
     ) -> u64 {
-        let mut payload = Vec::with_capacity(1 << 14);
+        let mut payload = Vec::with_capacity(1 << 13);
         irs::put_u32(&mut payload, width);
         irs::put_str(&mut payload, variant);
-        irs::put_u64(&mut payload, meta.pre_opt_instructions as u64);
-        irs::put_u64(&mut payload, meta.post_opt_instructions as u64);
-        irs::put_u64(&mut payload, meta.jit_code_bytes);
-        let fbytes = irs::function_to_bytes(function);
-        irs::put_u64(&mut payload, fbytes.len() as u64);
-        payload.extend_from_slice(&fbytes);
-        let pbytes = vms::program_to_bytes(bytecode);
-        irs::put_u64(&mut payload, pbytes.len() as u64);
-        payload.extend_from_slice(&pbytes);
+        irs::put_u64(&mut payload, pre_opt_instructions as u64);
+        irs::put_u64(&mut payload, post_opt_instructions as u64);
+        irs::encode_function(function, &mut payload);
         self.write_artifact(&self.artifact_path(kernel, key, "spec"), KIND_SPEC, &payload)
     }
 
@@ -619,28 +593,8 @@ fn decode_spec(bytes: &[u8]) -> SerialResult<(u32, String, SpecArtifact)> {
     let variant = r.take_str()?;
     let pre_opt_instructions = take_usize(&mut r)?;
     let post_opt_instructions = take_usize(&mut r)?;
-    let jit_code_bytes = r.take_u64()?;
-    let flen = take_usize(&mut r)?;
-    if flen > r.remaining() {
-        return Err(SerialError::new("function length exceeds payload"));
-    }
-    let fstart = bytes.len() - r.remaining();
-    let function = irs::function_from_bytes(&bytes[fstart..fstart + flen])?;
-    let tail = &bytes[fstart + flen..];
-    let mut r = Reader::new(tail);
-    let plen = take_usize(&mut r)?;
-    if plen != r.remaining() {
-        return Err(SerialError::new("program length does not match payload"));
-    }
-    let bytecode = vms::program_from_bytes(&tail[tail.len() - plen..])?;
-    let art = SpecArtifact {
-        function,
-        bytecode,
-        pre_opt_instructions,
-        post_opt_instructions,
-        jit_code_bytes,
-    };
-    Ok((width, variant, art))
+    let function = irs::function_from_bytes(&bytes[bytes.len() - r.remaining()..])?;
+    Ok((width, variant, SpecArtifact { function, pre_opt_instructions, post_opt_instructions }))
 }
 
 /// Decode a width manifest payload: count, then `(u32 width, str
@@ -718,19 +672,27 @@ done:
         assert_eq!(back.live_in, tk.live_in);
     }
 
+    fn sample_spec() -> crate::vectorize::Specialized {
+        let opts = crate::vectorize::SpecializeOptions::dynamic(4);
+        crate::vectorize::specialize(&sample_tk(), &opts).unwrap()
+    }
+
+    /// Store `function` as the `(4, "dynamic")` specialization under `key`.
+    fn store_w4(store: &PersistStore, key: u64, function: &dpvk_ir::Function) {
+        store.store_spec("pk", key, 4, "dynamic", function, 0, 0);
+    }
+
     #[test]
     fn spec_round_trips_through_disk() {
-        use dpvk_vm::{CostInfo, FrameLayout, MachineModel};
+        use dpvk_vm::{BytecodeProgram, CostInfo, FrameLayout, MachineModel};
 
         let store = tmp_store("spec");
-        let tk = sample_tk();
-        let spec =
-            crate::vectorize::specialize(&tk, &crate::vectorize::SpecializeOptions::dynamic(4))
-                .unwrap();
+        let spec = sample_spec();
         let model = MachineModel::sandybridge_sse();
-        let cost = CostInfo::analyze(&spec.function, &model);
-        let frame = FrameLayout::of(&spec.function);
-        let program = BytecodeProgram::decode(&spec.function, &frame, &model, &cost);
+        let decode = |f: &dpvk_ir::Function| {
+            let cost = CostInfo::analyze(f, &model);
+            BytecodeProgram::decode(f, &FrameLayout::of(f), &model, &cost)
+        };
         let key = PersistStore::spec_key(PersistStore::translation_key("m", SRC), 4, "dynamic");
         assert!(store.load_spec("pk", key, 4, "dynamic").is_none(), "cold cache must miss");
         store.store_spec(
@@ -739,20 +701,18 @@ done:
             4,
             "dynamic",
             &spec.function,
-            &program,
-            SpecMeta {
-                pre_opt_instructions: spec.pre_opt_instructions,
-                post_opt_instructions: spec.post_opt_instructions,
-                jit_code_bytes: 123,
-            },
+            spec.pre_opt_instructions,
+            spec.post_opt_instructions,
         );
         let art = store.load_spec("pk", key, 4, "dynamic").expect("warm cache must hit");
         assert_eq!(art.function, spec.function);
         assert_eq!(art.pre_opt_instructions, spec.pre_opt_instructions);
         assert_eq!(art.post_opt_instructions, spec.post_opt_instructions);
-        assert_eq!(art.jit_code_bytes, 123, "advisory JIT metadata must round-trip");
-        assert_eq!(art.bytecode.slots(), program.slots());
-        assert_eq!(format!("{:?}", art.bytecode), format!("{program:?}"));
+        assert_eq!(
+            format!("{:?}", decode(&art.function)),
+            format!("{:?}", decode(&spec.function)),
+            "the loaded function must decode to exactly the fresh program"
+        );
 
         // The same bytes under a key asked for as another width or
         // variant are a miss, and the misplaced file is scrubbed.
@@ -760,16 +720,24 @@ done:
             let path = store.artifact_path("pk", key, "spec");
             assert!(store.load_spec("pk", key, width, variant).is_none(), "w{width} {variant}");
             assert!(!path.exists(), "mismatched artifact must be deleted");
-            store.store_spec(
-                "pk",
-                key,
-                4,
-                "dynamic",
-                &spec.function,
-                &program,
-                SpecMeta { pre_opt_instructions: 0, post_opt_instructions: 0, jit_code_bytes: 0 },
-            );
+            store_w4(&store, key, &spec.function);
         }
+    }
+
+    #[test]
+    fn spec_failing_verify_is_deleted_and_misses() {
+        // A well-formed container (valid checksum) around a function the
+        // verifier rejects: it must never reach the bytecode decoder.
+        let store = tmp_store("spec-verify");
+        let mut function = sample_spec().function;
+        function.blocks[0].term = dpvk_ir::Term::Br(BlockId(function.blocks.len() as u32 + 7));
+        assert!(dpvk_ir::verify(&function).is_err(), "sample must fail verify");
+        let key = PersistStore::spec_key(PersistStore::translation_key("m", SRC), 4, "dynamic");
+        store_w4(&store, key, &function);
+        let path = store.artifact_path("pk", key, "spec");
+        assert!(path.exists(), "store must write the artifact");
+        assert!(store.load_spec("pk", key, 4, "dynamic").is_none(), "unverifiable load must miss");
+        assert!(!path.exists(), "unverifiable artifact must be deleted");
     }
 
     #[test]

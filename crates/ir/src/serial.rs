@@ -206,14 +206,14 @@ impl<'a> Reader<'a> {
 macro_rules! enum_codec {
     ($put:ident, $take:ident, $ty:ident, [$($variant:ident),+ $(,)?]) => {
         #[doc = concat!("Append a [`", stringify!($ty), "`] tag byte.")]
-        pub fn $put(buf: &mut Vec<u8>, v: $ty) {
+        fn $put(buf: &mut Vec<u8>, v: $ty) {
             const VARIANTS: &[$ty] = &[$($ty::$variant),+];
             let tag = VARIANTS.iter().position(|x| *x == v).expect("variant listed") as u8;
             put_u8(buf, tag);
         }
 
         #[doc = concat!("Read a [`", stringify!($ty), "`] tag byte.")]
-        pub fn $take(r: &mut Reader<'_>) -> SerialResult<$ty> {
+        fn $take(r: &mut Reader<'_>) -> SerialResult<$ty> {
             const VARIANTS: &[$ty] = &[$($ty::$variant),+];
             let tag = r.take_u8()? as usize;
             VARIANTS.get(tag).copied().ok_or_else(|| {
@@ -293,7 +293,7 @@ fn take_value(r: &mut Reader<'_>) -> SerialResult<Value> {
 }
 
 /// Append a [`CtxField`] as a tag byte plus a dimension byte.
-pub fn put_ctx_field(buf: &mut Vec<u8>, f: CtxField) {
+fn put_ctx_field(buf: &mut Vec<u8>, f: CtxField) {
     let (tag, dim) = match f {
         CtxField::Tid(d) => (0u8, d),
         CtxField::Ntid(d) => (1, d),
@@ -309,7 +309,7 @@ pub fn put_ctx_field(buf: &mut Vec<u8>, f: CtxField) {
 }
 
 /// Read a [`CtxField`] written by [`put_ctx_field`].
-pub fn take_ctx_field(r: &mut Reader<'_>) -> SerialResult<CtxField> {
+fn take_ctx_field(r: &mut Reader<'_>) -> SerialResult<CtxField> {
     let tag = r.take_u8()?;
     let dim = r.take_u8()?;
     if tag <= 3 && dim > 2 {

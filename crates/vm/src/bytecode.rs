@@ -391,14 +391,6 @@ impl OpKind {
     }
 }
 
-/// Count the µops of `code` that operate on more than one lane. Derived
-/// from the stream (never serialized): decode fills it for fresh
-/// programs and `serial` recomputes it on rehydration, so persisted
-/// artifacts from older builds stay readable.
-pub(crate) fn count_vector_ops(code: &[Op]) -> u64 {
-    code.iter().filter(|op| op.kind.lanes() > 1).count() as u64
-}
-
 /// Compile-time sink for the µop profiler. The execution loop is
 /// monomorphized over this, so the unprofiled instantiation (the
 /// [`NoProfile`] impl, all no-ops) carries zero per-µop overhead — the
@@ -483,8 +475,6 @@ pub struct DecodeStats {
     pub fused_runs: u64,
     /// µops operating on more than one lane — the share of the stream
     /// that actually vectorized at the specialization's warp width.
-    /// Derived from the µop stream, not serialized: decode fills it for
-    /// fresh programs and `serial` recomputes it on rehydration.
     pub vector_ops: u64,
 }
 
@@ -710,13 +700,6 @@ impl BytecodeProgram {
     /// Warp width of the source function.
     pub fn warp_size(&self) -> u32 {
         self.warp_size
-    }
-
-    /// Number of register-frame slots the program was validated against.
-    /// Callers rehydrating a persisted program cross-check this against
-    /// the [`FrameLayout`](crate::FrameLayout) they recompute.
-    pub fn slots(&self) -> usize {
-        self.slots
     }
 
     /// Number of µops in the decoded stream.

@@ -75,7 +75,7 @@ impl BytecodeProgram {
         }
         d.patch_targets(&block_start);
         d.stats.ops = d.code.len() as u64;
-        d.stats.vector_ops = crate::bytecode::count_vector_ops(&d.code);
+        d.stats.vector_ops = d.code.iter().filter(|op| op.kind.lanes() > 1).count() as u64;
         let prog = BytecodeProgram {
             code: d.code,
             cases: d.cases,

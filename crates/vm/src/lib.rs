@@ -65,7 +65,6 @@ mod interp;
 mod jit;
 mod machine;
 mod memory;
-pub mod serial;
 mod stats;
 
 pub use bytecode::{execute_warp_bytecode, BytecodePass, BytecodeProgram, DecodeStats};

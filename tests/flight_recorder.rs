@@ -59,7 +59,7 @@ done:
 fn run_divergent(config: &ExecConfig) -> LaunchStats {
     let n = 128usize;
     // No persistent cache: these tests assert on cold-compile spans
-    // (Specialize/Decode), which a warm disk cache legitimately skips.
+    // (Specialize), which a warm disk cache legitimately skips.
     let dev = Device::with_persist(MachineModel::sandybridge_sse(), 4 << 20, None);
     dev.register_source(DIVERGENT).unwrap();
     let seeds: Vec<u32> = (0..n as u32).map(|i| i * 7 + 1).collect();

@@ -4,8 +4,9 @@
 //! each device owns its in-memory translation cache, so a new device has
 //! exactly the state a new process would have. The warm device must
 //! rehydrate every compilation artifact from disk — zero nanoseconds in
-//! translation and specialization — and produce bit-identical kernel
-//! outputs under all three execution engines.
+//! translation and specialization; only the bytecode decode re-runs —
+//! and produce bit-identical kernel outputs under all three execution
+//! engines.
 
 mod common;
 
@@ -107,7 +108,7 @@ fn warm_restart_skips_translation_and_specialization() {
         );
         assert_eq!(warm.translate_ns, 0, "[{engine:?}] translation not skipped: {warm:?}");
         assert_eq!(warm.specialize_ns, 0, "[{engine:?}] specialization not skipped: {warm:?}");
-        assert_eq!(warm.decode_ns, 0, "[{engine:?}] bytecode decode not skipped: {warm:?}");
+        assert!(warm.decode_ns > 0, "[{engine:?}] rehydration must re-decode: {warm:?}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
