@@ -6,15 +6,18 @@
 //! out-of-bounds run components resumed through `jit_run_from`. Every
 //! case must leave identical `ExecStats` (instructions, body and yield
 //! cycles included), errors, resume points and memory — per warp, and
-//! across consecutive warps of one [`JitPass`].
+//! across consecutive warps of one [`JitPass`]. Every sweep runs at an
+//! inline width and at one past the JIT's inline cap, where every
+//! vector µop, `CopyRun` and `LoadRun` goes through a helper.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use dpvk_ptx::parse_module;
 use dpvk_vm::{
-    execute_warp_bytecode, jit_supported, BytecodePass, CancelToken, ExecLimits, ExecStats,
-    GlobalMem, JitPass, MachineModel, MemAccess, RegFrame, ThreadContext, VmError, WarpOutcome,
+    execute_warp_bytecode, jit_inline_width_cap, jit_supported, BytecodePass, CancelToken,
+    ExecLimits, ExecStats, GlobalMem, JitPass, MachineModel, MemAccess, RegFrame, ThreadContext,
+    VmError, WarpOutcome,
 };
 
 use crate::cache::{CompiledKernel, TranslationCache, Variant};
@@ -65,10 +68,22 @@ loop:
 
 const WIDTH: u32 = 4;
 
-fn compiled() -> Arc<CompiledKernel> {
+/// Wider than [`jit_inline_width_cap`]: vector µops run in helpers.
+const WIDE: u32 = 16;
+
+fn compiled_at(width: u32) -> Arc<CompiledKernel> {
     let cache = TranslationCache::with_persist(MachineModel::sandybridge_sse(), None);
     cache.register_module(&parse_module(KERNEL).unwrap());
-    cache.get("fidelity", WIDTH, Variant::Dynamic).unwrap()
+    cache.get("fidelity", width, Variant::Dynamic).unwrap()
+}
+
+fn compiled() -> Arc<CompiledKernel> {
+    compiled_at(WIDTH)
+}
+
+/// The fidelity kernel at the inline width and at the helper width.
+fn widths() -> [Arc<CompiledKernel>; 2] {
+    [compiled(), compiled_at(WIDE)]
 }
 
 /// Inputs of one warp call.
@@ -105,11 +120,12 @@ struct Observed {
     local: Vec<u8>,
 }
 
-/// Run `warps` consecutive warps (lane groups `0..4`, `4..8`, …) of
-/// `setup` through one engine pass — the JIT's when `jit`, the
-/// interpreter's otherwise.
+/// Run `warps` consecutive warps (lane groups `0..w`, `w..2w`, … of the
+/// kernel's width `w`) of `setup` through one engine pass — the JIT's
+/// when `jit`, the interpreter's otherwise.
 fn run(c: &CompiledKernel, setup: &Setup, warps: u32, jit: bool) -> Observed {
-    let lanes = WIDTH * warps;
+    let width = c.bytecode.warp_size() as usize;
+    let lanes = width as u32 * warps;
     let global = GlobalMem::new(4 * lanes as usize + 64);
     for i in 0..lanes {
         global.write::<4>(4 * i as u64, ((i % 5) + 1).to_le_bytes()).unwrap();
@@ -139,13 +155,13 @@ fn run(c: &CompiledKernel, setup: &Setup, warps: u32, jit: bool) -> Observed {
     if jit {
         let code = code.expect("native code for the fidelity kernel");
         let mut pass = JitPass::new(code, &c.bytecode, &mut frame, &mut mem, limits, cancel);
-        for warp in ctxs.chunks_mut(WIDTH as usize) {
+        for warp in ctxs.chunks_mut(width) {
             let r = pass.run_warp(warp, setup.entry, &mut stats);
             out.push((r, stats));
         }
     } else {
         let mut pass = BytecodePass::new(&c.bytecode, &mut frame, &mut mem, limits, cancel);
-        for warp in ctxs.chunks_mut(WIDTH as usize) {
+        for warp in ctxs.chunks_mut(width) {
             let r = pass.run_warp(warp, setup.entry, &mut stats);
             out.push((r, stats));
         }
@@ -170,13 +186,18 @@ fn assert_agree(c: &CompiledKernel, setup: &Setup, warps: u32, what: &str) -> Ob
 
 #[test]
 fn fidelity_kernel_uses_helpers_and_run_uops() {
-    let c = compiled();
-    let listing = format!("{:?}", c.bytecode);
-    for uop in ["Atom", "LoadRun", "StoreRun"] {
-        assert!(listing.contains(uop), "fidelity kernel lost its {uop} µop:\n{listing}");
+    assert!(WIDE > jit_inline_width_cap());
+    for c in widths() {
+        let listing = format!("{:?}", c.bytecode);
+        for uop in ["Atom", "LoadRun", "StoreRun"] {
+            assert!(listing.contains(uop), "fidelity kernel lost its {uop} µop:\n{listing}");
+        }
+        if let Some(jit) = c.jit("fidelity") {
+            assert!(jit.emit_stats().helper_uops > 0, "no helper-routed µops");
+        }
     }
-    if let Some(jit) = c.jit("fidelity") {
-        assert!(jit.emit_stats().helper_uops > 0, "no helper-routed µops");
+    if let Some(jit) = compiled_at(WIDE).jit("fidelity") {
+        assert!(jit.emit_stats().wide_helper_uops > 0, "no wide vector µops in helpers");
     }
 }
 
@@ -185,20 +206,22 @@ fn watchdog_trips_at_identical_instruction_counts() {
     if !jit_supported() {
         return;
     }
-    let c = compiled();
-    let full = assert_agree(&c, &Setup::new(), 1, "unlimited");
-    assert!(full.warps[0].0.is_ok());
-    let mut tripped = 0;
-    for max in 1..=400 {
-        let setup = Setup {
-            limits: ExecLimits { max_instructions: max, ..ExecLimits::default() },
-            ..Setup::new()
-        };
-        let o = assert_agree(&c, &setup, 2, &format!("watchdog at {max}"));
-        tripped +=
-            o.warps.iter().filter(|(r, _)| matches!(r, Err(VmError::Watchdog { .. }))).count();
+    for c in widths() {
+        let w = c.bytecode.warp_size();
+        let full = assert_agree(&c, &Setup::new(), 1, &format!("w{w} unlimited"));
+        assert!(full.warps[0].0.is_ok());
+        let mut tripped = 0;
+        for max in 1..=400 {
+            let setup = Setup {
+                limits: ExecLimits { max_instructions: max, ..ExecLimits::default() },
+                ..Setup::new()
+            };
+            let o = assert_agree(&c, &setup, 2, &format!("w{w} watchdog at {max}"));
+            tripped +=
+                o.warps.iter().filter(|(r, _)| matches!(r, Err(VmError::Watchdog { .. }))).count();
+        }
+        assert!(tripped > 300, "w{w} watchdog sweep never reached the warp's end: {tripped}");
     }
-    assert!(tripped > 300, "watchdog sweep never reached the warp's end: {tripped}");
 }
 
 #[test]
@@ -206,28 +229,30 @@ fn cancel_and_deadline_polls_cross_identically() {
     if !jit_supported() {
         return;
     }
-    let c = compiled();
-    for stride in [1, 2, 3, 5, 8, 13, 21, 34] {
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        let setup = Setup {
-            limits: ExecLimits { check_interval: stride, ..ExecLimits::default() },
-            cancel: Some(cancelled),
-            ..Setup::new()
-        };
-        let o = assert_agree(&c, &setup, 2, &format!("cancel, stride {stride}"));
-        assert_eq!(o.warps[0].0, Err(VmError::Cancelled));
+    for c in widths() {
+        let w = c.bytecode.warp_size();
+        for stride in [1, 2, 3, 5, 8, 13, 21, 34] {
+            let cancelled = CancelToken::new();
+            cancelled.cancel();
+            let setup = Setup {
+                limits: ExecLimits { check_interval: stride, ..ExecLimits::default() },
+                cancel: Some(cancelled),
+                ..Setup::new()
+            };
+            let o = assert_agree(&c, &setup, 2, &format!("w{w} cancel, stride {stride}"));
+            assert_eq!(o.warps[0].0, Err(VmError::Cancelled));
 
-        let setup = Setup {
-            limits: ExecLimits {
-                check_interval: stride,
-                deadline: Some(Instant::now()),
-                ..ExecLimits::default()
-            },
-            ..Setup::new()
-        };
-        let o = assert_agree(&c, &setup, 2, &format!("deadline, stride {stride}"));
-        assert_eq!(o.warps[0].0, Err(VmError::Deadline));
+            let setup = Setup {
+                limits: ExecLimits {
+                    check_interval: stride,
+                    deadline: Some(Instant::now()),
+                    ..ExecLimits::default()
+                },
+                ..Setup::new()
+            };
+            let o = assert_agree(&c, &setup, 2, &format!("w{w} deadline, stride {stride}"));
+            assert_eq!(o.warps[0].0, Err(VmError::Deadline));
+        }
     }
 }
 
@@ -254,23 +279,27 @@ fn out_of_bounds_run_components_resume_identically() {
     if !jit_supported() {
         return;
     }
-    let c = compiled();
     // Shared and local arenas too small for some lanes' slots: a run
     // µop's bounds check fails at a middle component and resumes there
-    // through `jit_run_from`.
-    let mut faulted = 0;
-    for entry in 0..4 {
-        for len in (0..=40).step_by(4) {
-            let setup = Setup { entry, shared_len: len, ..Setup::new() };
-            let o = assert_agree(&c, &setup, 2, &format!("entry {entry}, shared {len}"));
-            faulted += o.warps.iter().filter(|(r, _)| r.is_err()).count();
+    // through `jit_run_from` (at the helper width, the whole run µop
+    // runs in `jit_step`).
+    for c in widths() {
+        let w = c.bytecode.warp_size();
+        let mut faulted = 0;
+        for entry in 0..4 {
+            for len in (0..=40).step_by(4) {
+                let setup = Setup { entry, shared_len: len, ..Setup::new() };
+                let what = format!("w{w} entry {entry}, shared {len}");
+                let o = assert_agree(&c, &setup, 2, &what);
+                faulted += o.warps.iter().filter(|(r, _)| r.is_err()).count();
+            }
+            for len in (0..=512).step_by(16) {
+                let setup = Setup { entry, local_len: len, ..Setup::new() };
+                assert_agree(&c, &setup, 2, &format!("w{w} entry {entry}, local {len}"));
+            }
         }
-        for len in (0..=512).step_by(16) {
-            let setup = Setup { entry, local_len: len, ..Setup::new() };
-            assert_agree(&c, &setup, 2, &format!("entry {entry}, local {len}"));
-        }
+        assert!(faulted > 0, "w{w}: no out-of-bounds run component was exercised");
     }
-    assert!(faulted > 0, "no out-of-bounds run component was exercised");
 }
 
 #[test]

@@ -157,6 +157,7 @@ impl LaunchJob {
                         &self.req.config.adapt,
                         &self.req.cache,
                         pool,
+                        self.gauge.as_ref(),
                     );
                 }
                 st.outcome = Some(outcome);
@@ -400,9 +401,18 @@ impl StreamShared {
     }
 }
 
-/// Count of launches in flight on one device, so
-/// [`Device::synchronize`](crate::runtime::Device::synchronize) can park
-/// until the device drains without polling.
+/// One unit of [`InflightGauge`] work, released on drop.
+pub(crate) struct InflightHold(Arc<InflightGauge>);
+
+impl Drop for InflightHold {
+    fn drop(&mut self) {
+        self.0.dec();
+    }
+}
+
+/// Count of launches and background respecializations in flight on one
+/// device, so [`Device::synchronize`](crate::runtime::Device::synchronize)
+/// can park until the device drains without polling.
 pub(crate) struct InflightGauge {
     count: Monitor<usize>,
 }
@@ -425,7 +435,14 @@ impl InflightGauge {
         }
     }
 
-    /// Block until no launches are in flight.
+    /// Count one unit of background work until the returned guard
+    /// drops (also when the work panics).
+    pub(crate) fn hold(self: &Arc<Self>) -> InflightHold {
+        self.inc();
+        InflightHold(Arc::clone(self))
+    }
+
+    /// Block until nothing is in flight.
     pub(crate) fn wait_idle(&self) {
         let guard = self.count.lock();
         drop(self.count.wait_while(guard, |n| *n != 0));
@@ -433,8 +450,7 @@ impl InflightGauge {
 }
 
 /// Validate, translate, and enqueue one launch on `pool`, returning its
-/// handle. This is the single submission path: the blocking
-/// [`run_grid`](super::run_grid) compatibility API, `Device::launch`,
+/// handle. This is the single submission path: `Device::launch`,
 /// `Device::launch_async` and `Stream::launch` all come through here.
 ///
 /// # Errors

@@ -1,8 +1,7 @@
 //! The persistent worker pool: the paper's resident execution managers.
 //!
-//! Workers are spawned once — with the device, or lazily for the free
-//! [`run_grid`](super::run_grid) path — and park on a condition variable
-//! when the queue is empty, so the launch hot path performs no thread
+//! Workers are spawned once, with the device, and park on a condition
+//! variable when the queue is empty, so the launch hot path performs no thread
 //! spawn or join. Each worker owns a [`WorkerScratch`]: warp-formation
 //! buffers, an interpreter register frame, and a [`DispatchMemo`] of
 //! resolved specializations that now lives as long as the worker does
@@ -18,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dpvk_ir::ResumeStatus;
@@ -165,14 +164,6 @@ pub(crate) fn pool_size(min_workers: usize) -> usize {
     }
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     host.max(min_workers).max(1)
-}
-
-/// The process-wide pool backing the free [`run_grid`](super::run_grid)
-/// functions (a `Device` owns its own). Created on first use, sized for
-/// the host, and never torn down.
-pub(crate) fn global_pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(pool_size(4)))
 }
 
 /// One worker thread: park until a chunk is available, run it, flush

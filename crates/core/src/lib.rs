@@ -15,7 +15,7 @@
 //!   re-entry;
 //! * [`TranslationCache`](crate::cache::TranslationCache) — lazy,
 //!   lock-guarded specialization per `(kernel, warp size, variant)`;
-//! * [`run_grid`](crate::exec::run_grid) and the execution manager —
+//! * the [execution manager](crate::exec) —
 //!   dynamic/static warp formation, barrier pools, per-thread resume
 //!   bookkeeping across a pool of worker threads;
 //! * [`Device`](crate::runtime::Device) — a CUDA-runtime-like host API.
@@ -82,8 +82,8 @@ pub use devmem::MemoryStats;
 pub use dpvk_vm::CancelToken;
 pub use error::{CoreError, FaultContext, InvalidEnvValue};
 pub use exec::{
-    run_grid, run_grid_cancellable, AdaptConfig, AdaptMode, EmCostModel, Engine, ExecConfig,
-    FormationPolicy, LaunchHandle, LaunchStats, UnknownAdaptModeError, UnknownEngineError,
+    AdaptConfig, AdaptMode, EmCostModel, Engine, ExecConfig, FormationPolicy, LaunchHandle,
+    LaunchStats, UnknownAdaptModeError, UnknownEngineError,
 };
 pub use lint::{warp_sync_lint, LintFinding};
 pub use persist::PersistConfig;

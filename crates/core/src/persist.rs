@@ -25,7 +25,7 @@
 //!
 //! **Atomicity.** Stores write a temp file in the cache directory and
 //! `rename(2)` it into place, so concurrent processes (e.g. parallel
-//! test binaries sharing `target/dpvk-cache/`) never observe partial
+//! test binaries sharing one `DPVK_CACHE_DIR`) never observe partial
 //! artifacts. Temp names are unique per process *and* per write — the
 //! sequence number is process-wide, and the file is created with
 //! `create_new` — so two stores in one process (two `Device`s sharing
@@ -78,10 +78,9 @@ const DEFAULT_CAP_BYTES: u64 = 256 << 20;
 
 /// Where and how large the persistent cache is.
 ///
-/// [`Device::new`](crate::Device::new) builds one from the environment:
-/// `DPVK_CACHE=0` disables persistence, `DPVK_CACHE_DIR` overrides the
-/// directory (default: `dpvk-cache/` under the build's target
-/// directory), `DPVK_CACHE_CAP` sets the size cap in bytes. Tests and
+/// Persistence is opt-in: [`Device::new`](crate::Device::new) builds one
+/// from the environment only when `DPVK_CACHE_DIR` names the directory,
+/// with `DPVK_CACHE_CAP` setting the size cap in bytes. Tests and
 /// services that want hermetic control use [`PersistConfig::at`] with
 /// [`Device::with_persist`](crate::Device::with_persist).
 #[derive(Debug, Clone)]
@@ -103,28 +102,13 @@ impl PersistConfig {
         self
     }
 
-    /// The environment-derived configuration, or `None` when persistence
-    /// is disabled with `DPVK_CACHE=0`/`off`.
+    /// The environment-derived configuration: a cache in
+    /// `DPVK_CACHE_DIR`, or `None` (no persistence) when it is unset.
     pub fn from_env() -> Option<Self> {
-        if std::env::var("DPVK_CACHE").is_ok_and(|v| v == "0" || v.eq_ignore_ascii_case("off")) {
-            return None;
-        }
-        let dir =
-            std::env::var_os("DPVK_CACHE_DIR").map(PathBuf::from).unwrap_or_else(default_cache_dir);
+        let dir = PathBuf::from(std::env::var_os("DPVK_CACHE_DIR")?);
         let cap_bytes = crate::error::env_u64("DPVK_CACHE_CAP", "a size cap in bytes")
             .unwrap_or(DEFAULT_CAP_BYTES);
         Some(PersistConfig { dir, cap_bytes })
-    }
-}
-
-/// Default cache directory, resolved at compile time so it does not
-/// depend on the process working directory: `dpvk-cache/` under
-/// `CARGO_TARGET_DIR` when that was set for the build, else under the
-/// workspace `target/` next to this crate.
-fn default_cache_dir() -> PathBuf {
-    match option_env!("CARGO_TARGET_DIR") {
-        Some(target) => Path::new(target).join("dpvk-cache"),
-        None => Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target")).join("dpvk-cache"),
     }
 }
 

@@ -83,8 +83,8 @@ impl Device {
     /// translation cache: `None` keeps compilation artifacts in memory
     /// only, `Some` rehydrates translations and specializations from
     /// (and stores them to) the configured directory. [`Device::new`]
-    /// itself configures persistence from the environment
-    /// (`DPVK_CACHE`, `DPVK_CACHE_DIR`, `DPVK_CACHE_CAP`).
+    /// itself persists only when `DPVK_CACHE_DIR` is set
+    /// (see [`PersistConfig::from_env`](crate::PersistConfig::from_env)).
     pub fn with_persist(
         model: MachineModel,
         heap_size: usize,
@@ -374,7 +374,8 @@ impl Device {
     }
 
     /// Block until every launch submitted to this device — blocking,
-    /// async, or via any stream — has completed.
+    /// async, or via any stream — has completed, together with the
+    /// background respecializations those launches scheduled.
     pub fn synchronize(&self) {
         self.inflight.wait_idle();
     }

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use dpvk_trace::timeline::SpanKind;
 
 use crate::cache::{TranslationCache, Variant};
+use crate::exec::job::InflightGauge;
 use crate::exec::stats::LaunchStats;
 use crate::exec::worker::PoolShared;
 use crate::exec::{AdaptConfig, AdaptMode};
@@ -151,7 +152,10 @@ impl PolicyTable {
 
     /// Fold one retired launch into the profile and, when the current
     /// width has become hot, advance the explore/commit state machine.
-    /// Called from the worker that retires the launch's last chunk.
+    /// Called from the worker that retires the launch's last chunk; a
+    /// respecialization it schedules counts in the launch's `gauge`
+    /// until it finishes, so `Device::synchronize` waits for it.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn observe(
         &self,
         kernel: &str,
@@ -160,6 +164,7 @@ impl PolicyTable {
         adapt: &AdaptConfig,
         cache: &TranslationCache,
         pool: &PoolShared,
+        gauge: Option<&Arc<InflightGauge>>,
     ) {
         if adapt.mode == AdaptMode::Off {
             return;
@@ -185,7 +190,7 @@ impl PolicyTable {
                 && kp.scores.get(w).map_or(0, |s| s.launches) < threshold
         });
         match next {
-            Some(cand) => Self::schedule_respec(kp, kernel, current, cand, cache, pool),
+            Some(cand) => Self::schedule_respec(kp, kernel, current, cand, cache, pool, gauge),
             None => {
                 // Every candidate measured (or failed): commit the
                 // cheapest per launch, ties to the narrower width.
@@ -215,6 +220,7 @@ impl PolicyTable {
     /// halving fallback ladder as the launch path, reports the width it
     /// landed on, and emits a [`SpanKind::Respecialize`] span on the
     /// worker track it ran on.
+    #[allow(clippy::too_many_arguments)]
     fn schedule_respec(
         kp: &mut KernelPolicy,
         kernel: &str,
@@ -222,6 +228,7 @@ impl PolicyTable {
         cand: u32,
         cache: &TranslationCache,
         pool: &PoolShared,
+        gauge: Option<&Arc<InflightGauge>>,
     ) {
         let ready = Arc::new(AtomicBool::new(false));
         let achieved = Arc::new(AtomicU32::new(0));
@@ -235,7 +242,9 @@ impl PolicyTable {
         dpvk_trace::record_respec(kernel, from, cand, kp.launches);
         let cache = cache.clone();
         let name = kernel.to_string();
+        let hold = gauge.map(InflightGauge::hold);
         pool.submit_task(Box::new(move || {
+            let _hold = hold;
             let start = flight::span_start();
             let mut w = cand;
             let landed = loop {
@@ -295,7 +304,7 @@ mod tests {
         let cache = TranslationCache::with_persist(dpvk_vm::MachineModel::sandybridge_sse(), None);
         let pool = crate::exec::worker::WorkerPool::new(1);
         for _ in 0..3 {
-            table.observe("k", 4, &stats_with_cycles(10), &observe, &cache, pool.shared());
+            table.observe("k", 4, &stats_with_cycles(10), &observe, &cache, pool.shared(), None);
         }
         let snap = table.snapshot("k");
         assert_eq!(snap.launches, 3);

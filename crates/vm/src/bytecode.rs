@@ -1189,9 +1189,6 @@ unsafe fn exec_loop_simd<P: UopSink>(
 }
 
 #[allow(clippy::too_many_arguments)]
-// The charge/retire macros update `cycles`/`next_poll` uniformly; on µops
-// that return right after (Ret, Unsupported) those writes are dead.
-#[allow(unused_assignments)]
 #[inline(always)]
 fn exec_loop<P: UopSink>(
     program: &BytecodeProgram,
@@ -1212,378 +1209,61 @@ fn exec_loop<P: UopSink>(
         program.warp_size
     );
     let code = program.code.as_slice();
+    let entry_id = mask_to(entry_id as u64, STy::I32);
     let mut pc: usize = 0;
     let mut status: Option<ResumeStatus> = None;
-    let mut executed: u64 = 0;
     let poll_stride = limits.check_interval.max(1);
     let polling = limits.deadline.is_some() || cancel.is_some();
-    let mut next_poll = poll_stride;
-    let mut cycles: u64 = 0;
-    // Opcode of the µop currently dispatching; the charge/retire macros
-    // attribute modeled cycles to it via the (monomorphized) sink. Must
-    // be declared before the macros so their bodies resolve to it.
-    let mut opc: usize = 0;
 
     stats.warp_entries += 1;
     stats.thread_entries += program.warp_size as u64;
 
-    // Per-instruction bookkeeping, identical (in order and in counts) to
-    // the tree-walk loop: the watchdog and the deadline/cancellation poll
-    // tick on the same `executed` values, including per fused component.
-    macro_rules! tick {
-        () => {
-            executed += 1;
-            if executed > limits.max_instructions {
-                return Err(VmError::Watchdog { limit: limits.max_instructions });
-            }
-            if polling && executed >= next_poll {
-                next_poll = executed + poll_stride;
-                if let Some(token) = cancel {
-                    if token.is_cancelled() {
-                        return Err(VmError::Cancelled);
-                    }
-                }
-                if let Some(deadline) = limits.deadline {
-                    if Instant::now() >= deadline {
-                        return Err(VmError::Deadline);
-                    }
-                }
-            }
-        };
-    }
-    macro_rules! charge {
-        ($meta:expr) => {
-            tick!();
-            cycles += $meta.cost as u64;
-            prof.charge(opc, $meta.cost);
-            stats.flops += $meta.flops as u64;
-            if $meta.flags != 0 {
-                if $meta.flags & F_LOAD != 0 {
-                    stats.loads += 1;
-                    if $meta.flags & F_RESTORE != 0 {
-                        stats.restore_loads += 1;
-                        stats.restore_bytes += $meta.bytes as u64;
-                    }
-                }
-                if $meta.flags & F_STORE != 0 {
-                    stats.stores += 1;
-                    if $meta.flags & F_SPILL != 0 {
-                        stats.spill_stores += 1;
-                        stats.spill_bytes += $meta.bytes as u64;
-                    }
-                }
-            }
-        };
-    }
-    macro_rules! retire_block {
-        ($term:expr) => {
-            cycles += $term.cost as u64;
-            prof.charge(opc, $term.cost);
-            tick!();
-            stats.instructions += $term.insts as u64;
-            if $term.overhead {
-                stats.cycles_yield += cycles;
-            } else {
-                stats.cycles_body += cycles;
-            }
-            cycles = 0;
-        };
-    }
-
+    let mut clock = LoopClock {
+        executed: 0,
+        next_poll: if polling { poll_stride } else { u64::MAX },
+        cycles: 0,
+        opc: 0,
+        poll_stride,
+        limits,
+        cancel,
+        stats,
+        prof,
+    };
     loop {
         let op = &code[pc];
-        opc = prof.note_op(&op.kind);
-        match op.kind {
-            OpKind::Bin { op: bop, sty, signed, w, dst, a, b } => {
-                charge!(op.meta);
-                exec_bin(regs, bop, sty, signed, w, dst, a, b, 0)?;
-                pc += 1;
-            }
-            OpKind::Un { op: uop, sty, w, dst, a } => {
-                charge!(op.meta);
-                exec_un(regs, uop, sty, w, dst, a)?;
-                pc += 1;
-            }
-            OpKind::Fma { sty, w, dst, a, b, c } => {
-                charge!(op.meta);
-                exec_fma(regs, sty, w, dst, a, b, c);
-                pc += 1;
-            }
-            OpKind::Cmp { pred, sty, signed, w, dst, a, b } => {
-                charge!(op.meta);
-                if w == 1 {
-                    let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0, 0), lane(regs, b, 0, 0));
-                    set_bcast(regs, dst, r);
-                } else {
-                    vec2(regs, w as usize, dst.off as usize, a, b, |x, y| {
-                        scalar_cmp(pred, sty, signed, x, y)
-                    });
-                }
-                pc += 1;
-            }
-            OpKind::Select { w, dst, cond, a, b } => {
-                charge!(op.meta);
-                if w == 1 {
-                    let r = if lane(regs, cond, 0, 0) & 1 != 0 {
-                        lane(regs, a, 0, 0)
-                    } else {
-                        lane(regs, b, 0, 0)
-                    };
-                    set_bcast(regs, dst, r);
-                } else {
-                    vec3(regs, w as usize, dst.off as usize, cond, a, b, |c, x, y| {
-                        if c & 1 != 0 {
-                            x
-                        } else {
-                            y
-                        }
-                    });
-                }
-                pc += 1;
-            }
-            OpKind::Cvt { to, from, signed, w, dst, a } => {
-                charge!(op.meta);
-                if w == 1 {
-                    let r = scalar_cvt(to, from, signed, lane(regs, a, 0, 0));
-                    set_bcast(regs, dst, r);
-                } else {
-                    vec1(regs, w as usize, dst.off as usize, a, |x| {
-                        scalar_cvt(to, from, signed, x)
-                    });
-                }
-                pc += 1;
-            }
-            OpKind::Load { sty, space, dst, addr } => {
-                charge!(op.meta);
-                let a = lane(regs, addr, 0, 0);
-                let bits = mem.read(space, a, sty.size_bytes())?;
-                set_bcast(regs, dst, mask_to(bits, sty));
-                pc += 1;
-            }
-            OpKind::Store { sty, space, addr, value } => {
-                charge!(op.meta);
-                let a = lane(regs, addr, 0, 0);
-                let v = lane(regs, value, 0, 0);
-                mem.write(space, a, sty.size_bytes(), v)?;
-                pc += 1;
-            }
-            OpKind::Atom { sty, space, op: akind, signed, dst, addr, a, b } => {
-                charge!(op.meta);
-                let addr_v = lane(regs, addr, 0, 0);
-                let av = lane(regs, a, 0, 0);
-                let bv = b.map(|b| lane(regs, b, 0, 0));
-                let old = atom_rmw(mem, sty, space, akind, signed, addr_v, av, bv)?;
-                set_bcast(regs, dst, mask_to(old, sty));
-                pc += 1;
-            }
-            OpKind::Insert { w, dst, vec, elem, lane: l } => {
-                charge!(op.meta);
-                let e = lane(regs, elem, 0, 0);
-                let doff = dst.off as usize;
-                if let Some(v) = vec {
-                    for i in 0..w as usize {
-                        regs[doff + i] = lane(regs, v, i, 0);
-                    }
-                }
-                regs[doff + l as usize] = e;
-                pc += 1;
-            }
-            OpKind::Extract { dst, vec, lane: l } => {
-                charge!(op.meta);
-                let v = lane(regs, vec, l as usize, 0);
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::Splat { dst, a } => {
-                charge!(op.meta);
-                let v = lane(regs, a, 0, 0);
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::Reduce { op: rop, sty, w, dst, vec } => {
-                charge!(op.meta);
-                let w = w as usize;
-                let r = match rop {
-                    ReduceOp::Add => {
-                        let mut sum: u64 = 0;
-                        for i in 0..w {
-                            sum = sum.wrapping_add(mask_to(lane(regs, vec, i, 0), sty));
-                        }
-                        mask_to(sum, STy::I32)
-                    }
-                    ReduceOp::All => (0..w).all(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
-                    ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
-                };
-                set_bcast(regs, dst, r);
-                pc += 1;
-            }
-            OpKind::CtxRead { field, lane: l, dst } => {
-                charge!(op.meta);
-                let li = l as usize;
-                let ctx = &ctxs[li.min(ctxs.len() - 1)];
-                let v: u64 = match field {
-                    CtxField::Tid(d) => ctx.tid[d as usize] as u64,
-                    CtxField::Ntid(d) => ctx.ntid[d as usize] as u64,
-                    CtxField::Ctaid(d) => ctx.ctaid[d as usize] as u64,
-                    CtxField::Nctaid(d) => ctx.nctaid[d as usize] as u64,
-                    CtxField::LocalBase => ctx.local_base,
-                    CtxField::LaneId => l as u64,
-                    CtxField::WarpSize => program.warp_size as u64,
-                    CtxField::EntryId => mask_to(entry_id as u64, STy::I32),
-                };
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::SetRpImm { lane: l, id } => {
-                charge!(op.meta);
-                ctxs[l as usize].resume_point = id;
-                pc += 1;
-            }
-            OpKind::SetRpReg { lane: l, slot, sty } => {
-                charge!(op.meta);
-                ctxs[l as usize].resume_point = sext(regs[slot as usize], sty);
-                pc += 1;
-            }
-            OpKind::SetStatus { status: s } => {
-                charge!(op.meta);
-                status = Some(s);
-                pc += 1;
-            }
-            OpKind::Vote { dst, a } => {
-                charge!(op.meta);
-                let v = lane(regs, a, 0, 0);
-                set_bcast(regs, dst, v & 1);
-                pc += 1;
-            }
-            OpKind::MovVec { w, off, a } => {
-                charge!(op.meta);
-                vec1(regs, w as usize, off as usize, a, |x| x);
-                pc += 1;
-            }
-            OpKind::MovScalar { dst, a } => {
-                charge!(op.meta);
-                let v = lane(regs, a, 0, 0);
-                set_bcast(regs, dst, v);
-                pc += 1;
-            }
-            OpKind::CopyRun { n, src, sstride, dst, prefill } => {
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let e = regs[src as usize + i * sstride as usize];
-                    if i == 0 {
-                        // The first Insert of a pack copies its
-                        // initializer vector before writing lane 0; the
-                        // element is read first, exactly as unfused.
-                        if let Some((v, w)) = prefill {
-                            for j in 0..w as usize {
-                                regs[dst as usize + j] = lane(regs, v, j, 0);
-                            }
-                        }
-                    }
-                    regs[dst as usize + i] = e;
-                }
-                pc += 1;
-            }
-            OpKind::LoadRun { n, sty, space, addr, dst } => {
-                let size = sty.size_bytes();
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let bits = mem.read(space, regs[addr as usize + i], size)?;
-                    regs[dst as usize + i] = mask_to(bits, sty);
-                }
-                pc += 1;
-            }
-            OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, smeta } => {
-                let size = sty.size_bytes();
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let a = regs[avec as usize + i];
-                    regs[atmp as usize + i] = a;
-                    charge!(smeta);
-                    mem.write(space, a, size, regs[val as usize + i * vstride as usize])?;
-                }
-                pc += 1;
-            }
-            OpKind::CtxReadRun { field, n, dst } => {
-                for i in 0..n as usize {
-                    charge!(op.meta);
-                    let ctx = &ctxs[i.min(ctxs.len() - 1)];
-                    let v: u64 = match field {
-                        CtxField::Tid(d) => ctx.tid[d as usize] as u64,
-                        CtxField::Ntid(d) => ctx.ntid[d as usize] as u64,
-                        CtxField::Ctaid(d) => ctx.ctaid[d as usize] as u64,
-                        CtxField::Nctaid(d) => ctx.nctaid[d as usize] as u64,
-                        CtxField::LocalBase => ctx.local_base,
-                        CtxField::LaneId => i as u64,
-                        CtxField::WarpSize => program.warp_size as u64,
-                        CtxField::EntryId => mask_to(entry_id as u64, STy::I32),
-                    };
-                    regs[dst as usize + i] = v;
-                }
-                pc += 1;
-            }
-            OpKind::Unsupported { what } => {
-                charge!(op.meta);
-                return Err(VmError::Unsupported(what.to_string()));
-            }
+        clock.opc = clock.prof.note_op(&op.kind);
+        if exec_op(&mut clock, op, 0, regs, ctxs, entry_id, mem, &mut status)? {
+            pc += 1;
+            continue;
+        }
+        pc = match op.kind {
             OpKind::CmpBr { pred, sty, signed, a, b, dst, taken, fall, term } => {
-                charge!(op.meta);
+                clock.charge(op.meta)?;
                 let c = scalar_cmp(pred, sty, signed, lane(regs, a, 0, 0), lane(regs, b, 0, 0));
                 if let Some(d) = dst {
                     set_bcast(regs, d, c);
                 }
-                retire_block!(term);
-                pc = if c & 1 != 0 { taken as usize } else { fall as usize };
-            }
-            OpKind::BinBin {
-                op1,
-                sty1,
-                sg1,
-                a1,
-                b1,
-                dst1,
-                op2,
-                sty2,
-                sg2,
-                a2,
-                b2,
-                dst2,
-                meta2,
-            } => {
-                charge!(op.meta);
-                let v1 = scalar_bin(op1, sty1, sg1, lane(regs, a1, 0, 0), lane(regs, b1, 0, 0))?;
-                if let Some(d) = dst1 {
-                    set_bcast(regs, d, v1);
+                clock.retire(term)?;
+                if c & 1 != 0 {
+                    taken as usize
+                } else {
+                    fall as usize
                 }
-                charge!(meta2);
-                let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-                set_bcast(regs, dst2, v2);
-                pc += 1;
-            }
-            OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-                charge!(op.meta);
-                let a = lane(regs, addr, 0, 0);
-                let bits = mem.read(space, a, sty1.size_bytes())?;
-                let v1 = mask_to(bits, sty1);
-                if let Some(d) = dst1 {
-                    set_bcast(regs, d, v1);
-                }
-                charge!(meta2);
-                let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-                set_bcast(regs, dst2, v2);
-                pc += 1;
             }
             OpKind::Br { target, term } => {
-                retire_block!(term);
-                pc = target as usize;
+                clock.retire(term)?;
+                target as usize
             }
             OpKind::CondBr { cond, taken, fall, term } => {
-                retire_block!(term);
-                let c = lane(regs, cond, 0, 0);
-                pc = if c & 1 != 0 { taken as usize } else { fall as usize };
+                clock.retire(term)?;
+                if lane(regs, cond, 0, 0) & 1 != 0 {
+                    taken as usize
+                } else {
+                    fall as usize
+                }
             }
             OpKind::Switch { val, cases, default, term } => {
-                retire_block!(term);
+                clock.retire(term)?;
                 let v = match val {
                     SwitchVal::Reg { slot, sty } => sext(regs[slot as usize], sty),
                     SwitchVal::Imm(i) => i,
@@ -1591,14 +1271,13 @@ fn exec_loop<P: UopSink>(
                 };
                 let (start, len) = cases;
                 let tbl = &program.cases[start as usize..(start + len) as usize];
-                pc = tbl
-                    .iter()
+                tbl.iter()
                     .find(|(case, _)| *case == v)
                     .map(|&(_, t)| t as usize)
-                    .unwrap_or(default as usize);
+                    .unwrap_or(default as usize)
             }
             OpKind::Ret { term } => {
-                retire_block!(term);
+                clock.retire(term)?;
                 let status = status.unwrap_or(ResumeStatus::Exit);
                 if status == ResumeStatus::Exit {
                     for c in ctxs.iter_mut() {
@@ -1607,7 +1286,371 @@ fn exec_loop<P: UopSink>(
                 }
                 return Ok(WarpOutcome { status });
             }
+            _ => unreachable!("exec_op declined a straight-line µop"),
+        };
+    }
+}
+
+/// Per-instruction accounting for one warp call: the watchdog and
+/// deadline/cancellation clock plus the modeled-cycle and stat charges
+/// of each µop. [`exec_op`] charges through it once per µop and once per
+/// fused or run component, in the tree-walk's order. The interpreter
+/// loop implements it over its locals ([`LoopClock`]); the JIT over the
+/// `JitEnv` its native code keeps the counters in.
+pub(crate) trait Charge {
+    /// Tick the instruction clock — watchdog first, then the poll when
+    /// it is due — and charge `meta`.
+    fn charge(&mut self, meta: OpMeta) -> Result<(), VmError>;
+}
+
+/// The cancellation/deadline poll both engines run each time the
+/// instruction clock reaches its next poll point.
+#[inline(always)]
+pub(crate) fn poll(cancel: Option<&CancelToken>, deadline: Option<Instant>) -> Result<(), VmError> {
+    if cancel.is_some_and(CancelToken::is_cancelled) {
+        return Err(VmError::Cancelled);
+    }
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(VmError::Deadline);
+    }
+    Ok(())
+}
+
+/// The interpreter loop's [`Charge`]: its instruction clock, the running
+/// cycles of the current block and the caller's stats, with every
+/// charge also attributed to the dispatching opcode `opc` in the
+/// profiler sink. Lives on the stack of one warp call, so its counters
+/// stay in registers.
+struct LoopClock<'a, P> {
+    /// Dynamic instructions executed (the watchdog/poll clock).
+    executed: u64,
+    /// Next `executed` value at which to poll; `u64::MAX` when nothing
+    /// can cancel the warp.
+    next_poll: u64,
+    /// Modeled cycles accumulated since the last block retire.
+    cycles: u64,
+    /// Opcode of the µop currently dispatching.
+    opc: usize,
+    poll_stride: u64,
+    limits: &'a ExecLimits,
+    cancel: Option<&'a CancelToken>,
+    stats: &'a mut ExecStats,
+    prof: &'a mut P,
+}
+
+impl<P: UopSink> LoopClock<'_, P> {
+    /// Count one dynamic instruction: the watchdog, then the poll when
+    /// due — on the same `executed` values as the tree-walk, fused
+    /// components and terminators included.
+    #[inline(always)]
+    fn tick(&mut self) -> Result<(), VmError> {
+        self.executed += 1;
+        if self.executed > self.limits.max_instructions {
+            return Err(VmError::Watchdog { limit: self.limits.max_instructions });
         }
+        if self.executed >= self.next_poll {
+            self.next_poll = self.executed + self.poll_stride;
+            poll(self.cancel, self.limits.deadline)?;
+        }
+        Ok(())
+    }
+
+    /// Retire the block at its terminator: charge the terminator, tick,
+    /// and move the block's cycles to the body or yield bucket.
+    #[inline(always)]
+    fn retire(&mut self, term: TermInfo) -> Result<(), VmError> {
+        self.cycles += term.cost as u64;
+        self.prof.charge(self.opc, term.cost);
+        self.tick()?;
+        self.stats.instructions += term.insts as u64;
+        if term.overhead {
+            self.stats.cycles_yield += self.cycles;
+        } else {
+            self.stats.cycles_body += self.cycles;
+        }
+        self.cycles = 0;
+        Ok(())
+    }
+}
+
+impl<P: UopSink> Charge for LoopClock<'_, P> {
+    #[inline(always)]
+    fn charge(&mut self, meta: OpMeta) -> Result<(), VmError> {
+        self.tick()?;
+        self.cycles += meta.cost as u64;
+        self.prof.charge(self.opc, meta.cost);
+        let stats = &mut *self.stats;
+        stats.flops += meta.flops as u64;
+        if meta.flags != 0 {
+            if meta.flags & F_LOAD != 0 {
+                stats.loads += 1;
+                if meta.flags & F_RESTORE != 0 {
+                    stats.restore_loads += 1;
+                    stats.restore_bytes += meta.bytes as u64;
+                }
+            }
+            if meta.flags & F_STORE != 0 {
+                stats.stores += 1;
+                if meta.flags & F_SPILL != 0 {
+                    stats.spill_stores += 1;
+                    stats.spill_bytes += meta.bytes as u64;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Execute one straight-line µop, charging through `clock`: what every
+/// µop but the terminators and the fused compare-branch does, and in
+/// what order it charges. The interpreter loop runs it inline; the
+/// JIT's helpers run it for µops without an inline template.
+///
+/// `comp` is the component a `LoadRun`/`StoreRun` starts at (0 runs the
+/// whole µop); other µops ignore it. `entry_id` is the pre-masked
+/// `EntryId` context value. Returns `Ok(false)`, charging nothing, for
+/// the control-flow µops the caller executes itself.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn exec_op<C: Charge>(
+    clock: &mut C,
+    op: &Op,
+    comp: usize,
+    regs: &mut [u64],
+    ctxs: &mut [ThreadContext],
+    entry_id: u64,
+    mem: &mut MemAccess<'_>,
+    status: &mut Option<ResumeStatus>,
+) -> Result<bool, VmError> {
+    match op.kind {
+        OpKind::Bin { op: bop, sty, signed, w, dst, a, b } => {
+            clock.charge(op.meta)?;
+            exec_bin(regs, bop, sty, signed, w, dst, a, b, 0)?;
+        }
+        OpKind::Un { op: uop, sty, w, dst, a } => {
+            clock.charge(op.meta)?;
+            exec_un(regs, uop, sty, w, dst, a)?;
+        }
+        OpKind::Fma { sty, w, dst, a, b, c } => {
+            clock.charge(op.meta)?;
+            exec_fma(regs, sty, w, dst, a, b, c);
+        }
+        OpKind::Cmp { pred, sty, signed, w, dst, a, b } => {
+            clock.charge(op.meta)?;
+            if w == 1 {
+                let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0, 0), lane(regs, b, 0, 0));
+                set_bcast(regs, dst, r);
+            } else {
+                vec2(regs, w as usize, dst.off as usize, a, b, |x, y| {
+                    scalar_cmp(pred, sty, signed, x, y)
+                });
+            }
+        }
+        OpKind::Select { w, dst, cond, a, b } => {
+            clock.charge(op.meta)?;
+            if w == 1 {
+                let r = if lane(regs, cond, 0, 0) & 1 != 0 {
+                    lane(regs, a, 0, 0)
+                } else {
+                    lane(regs, b, 0, 0)
+                };
+                set_bcast(regs, dst, r);
+            } else {
+                vec3(regs, w as usize, dst.off as usize, cond, a, b, |c, x, y| {
+                    if c & 1 != 0 {
+                        x
+                    } else {
+                        y
+                    }
+                });
+            }
+        }
+        OpKind::Cvt { to, from, signed, w, dst, a } => {
+            clock.charge(op.meta)?;
+            if w == 1 {
+                let r = scalar_cvt(to, from, signed, lane(regs, a, 0, 0));
+                set_bcast(regs, dst, r);
+            } else {
+                vec1(regs, w as usize, dst.off as usize, a, |x| scalar_cvt(to, from, signed, x));
+            }
+        }
+        OpKind::Load { sty, space, dst, addr } => {
+            clock.charge(op.meta)?;
+            let a = lane(regs, addr, 0, 0);
+            let bits = mem.read(space, a, sty.size_bytes())?;
+            set_bcast(regs, dst, mask_to(bits, sty));
+        }
+        OpKind::Store { sty, space, addr, value } => {
+            clock.charge(op.meta)?;
+            let a = lane(regs, addr, 0, 0);
+            let v = lane(regs, value, 0, 0);
+            mem.write(space, a, sty.size_bytes(), v)?;
+        }
+        OpKind::Atom { sty, space, op: akind, signed, dst, addr, a, b } => {
+            clock.charge(op.meta)?;
+            let addr_v = lane(regs, addr, 0, 0);
+            let av = lane(regs, a, 0, 0);
+            let bv = b.map(|b| lane(regs, b, 0, 0));
+            let old = atom_rmw(mem, sty, space, akind, signed, addr_v, av, bv)?;
+            set_bcast(regs, dst, mask_to(old, sty));
+        }
+        OpKind::Insert { w, dst, vec, elem, lane: l } => {
+            clock.charge(op.meta)?;
+            let e = lane(regs, elem, 0, 0);
+            let doff = dst.off as usize;
+            if let Some(v) = vec {
+                for i in 0..w as usize {
+                    regs[doff + i] = lane(regs, v, i, 0);
+                }
+            }
+            regs[doff + l as usize] = e;
+        }
+        OpKind::Extract { dst, vec, lane: l } => {
+            clock.charge(op.meta)?;
+            let v = lane(regs, vec, l as usize, 0);
+            set_bcast(regs, dst, v);
+        }
+        OpKind::Splat { dst, a } => {
+            clock.charge(op.meta)?;
+            let v = lane(regs, a, 0, 0);
+            set_bcast(regs, dst, v);
+        }
+        OpKind::Reduce { op: rop, sty, w, dst, vec } => {
+            clock.charge(op.meta)?;
+            let w = w as usize;
+            let r = match rop {
+                ReduceOp::Add => {
+                    let mut sum: u64 = 0;
+                    for i in 0..w {
+                        sum = sum.wrapping_add(mask_to(lane(regs, vec, i, 0), sty));
+                    }
+                    mask_to(sum, STy::I32)
+                }
+                ReduceOp::All => (0..w).all(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
+                ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
+            };
+            set_bcast(regs, dst, r);
+        }
+        OpKind::CtxRead { field, lane: l, dst } => {
+            clock.charge(op.meta)?;
+            set_bcast(regs, dst, ctx_field(ctxs, field, l as usize, entry_id));
+        }
+        OpKind::SetRpImm { lane: l, id } => {
+            clock.charge(op.meta)?;
+            ctxs[l as usize].resume_point = id;
+        }
+        OpKind::SetRpReg { lane: l, slot, sty } => {
+            clock.charge(op.meta)?;
+            ctxs[l as usize].resume_point = sext(regs[slot as usize], sty);
+        }
+        OpKind::SetStatus { status: s } => {
+            clock.charge(op.meta)?;
+            *status = Some(s);
+        }
+        OpKind::Vote { dst, a } => {
+            clock.charge(op.meta)?;
+            let v = lane(regs, a, 0, 0);
+            set_bcast(regs, dst, v & 1);
+        }
+        OpKind::MovVec { w, off, a } => {
+            clock.charge(op.meta)?;
+            vec1(regs, w as usize, off as usize, a, |x| x);
+        }
+        OpKind::MovScalar { dst, a } => {
+            clock.charge(op.meta)?;
+            let v = lane(regs, a, 0, 0);
+            set_bcast(regs, dst, v);
+        }
+        OpKind::CopyRun { n, src, sstride, dst, prefill } => {
+            for i in 0..n as usize {
+                clock.charge(op.meta)?;
+                let e = regs[src as usize + i * sstride as usize];
+                if i == 0 {
+                    // The first Insert of a pack copies its initializer
+                    // vector before writing lane 0; the element is read
+                    // first, exactly as unfused.
+                    if let Some((v, w)) = prefill {
+                        for j in 0..w as usize {
+                            regs[dst as usize + j] = lane(regs, v, j, 0);
+                        }
+                    }
+                }
+                regs[dst as usize + i] = e;
+            }
+        }
+        OpKind::LoadRun { n, sty, space, addr, dst } => {
+            let size = sty.size_bytes();
+            for i in comp..n as usize {
+                clock.charge(op.meta)?;
+                let bits = mem.read(space, regs[addr as usize + i], size)?;
+                regs[dst as usize + i] = mask_to(bits, sty);
+            }
+        }
+        OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, smeta } => {
+            let size = sty.size_bytes();
+            for i in comp..n as usize {
+                clock.charge(op.meta)?;
+                let a = regs[avec as usize + i];
+                regs[atmp as usize + i] = a;
+                clock.charge(smeta)?;
+                mem.write(space, a, size, regs[val as usize + i * vstride as usize])?;
+            }
+        }
+        OpKind::CtxReadRun { field, n, dst } => {
+            for i in 0..n as usize {
+                clock.charge(op.meta)?;
+                regs[dst as usize + i] = ctx_field(ctxs, field, i, entry_id);
+            }
+        }
+        OpKind::Unsupported { what } => {
+            clock.charge(op.meta)?;
+            return Err(VmError::Unsupported(what.to_string()));
+        }
+        OpKind::BinBin { op1, sty1, sg1, a1, b1, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
+            clock.charge(op.meta)?;
+            let v1 = scalar_bin(op1, sty1, sg1, lane(regs, a1, 0, 0), lane(regs, b1, 0, 0))?;
+            if let Some(d) = dst1 {
+                set_bcast(regs, d, v1);
+            }
+            clock.charge(meta2)?;
+            let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
+            set_bcast(regs, dst2, v2);
+        }
+        OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
+            clock.charge(op.meta)?;
+            let a = lane(regs, addr, 0, 0);
+            let bits = mem.read(space, a, sty1.size_bytes())?;
+            let v1 = mask_to(bits, sty1);
+            if let Some(d) = dst1 {
+                set_bcast(regs, d, v1);
+            }
+            clock.charge(meta2)?;
+            let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
+            set_bcast(regs, dst2, v2);
+        }
+        OpKind::CmpBr { .. }
+        | OpKind::Br { .. }
+        | OpKind::CondBr { .. }
+        | OpKind::Switch { .. }
+        | OpKind::Ret { .. } => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Context field `field` as lane `l` reads it; lanes past the warp read
+/// the last context. `entry_id` is the pre-masked `EntryId` value.
+#[inline(always)]
+fn ctx_field(ctxs: &[ThreadContext], field: CtxField, l: usize, entry_id: u64) -> u64 {
+    let ctx = &ctxs[l.min(ctxs.len() - 1)];
+    match field {
+        CtxField::Tid(d) => ctx.tid[d as usize] as u64,
+        CtxField::Ntid(d) => ctx.ntid[d as usize] as u64,
+        CtxField::Ctaid(d) => ctx.ctaid[d as usize] as u64,
+        CtxField::Nctaid(d) => ctx.nctaid[d as usize] as u64,
+        CtxField::LocalBase => ctx.local_base,
+        CtxField::LaneId => l as u64,
+        CtxField::WarpSize => ctxs.len() as u64,
+        CtxField::EntryId => entry_id,
     }
 }
 

@@ -11,7 +11,7 @@
 //! instruction counts. µop shapes without a template (atomics,
 //! division, transcendentals, wide vectors) call back into
 //! [`crate::jit::rt::jit_step`], which re-runs the whole µop through
-//! the interpreter's own helpers; memory templates bounds-check
+//! the bytecode engine's executor; memory templates bounds-check
 //! *before* charging (a pure register read, so the reorder is
 //! unobservable) and take the same helper on the slow path so faulting
 //! accesses charge and error exactly as interpreted.

@@ -13,7 +13,7 @@
 //!
 //! µop shapes without an inline template (atomics, division,
 //! transcendentals, vectors wider than the inline cap) call back into
-//! the interpreter's own helpers at run time, so coverage gaps cost
+//! the bytecode engine's executor at run time, so coverage gaps cost
 //! speed, never correctness. Hosts where native emission is unavailable
 //! (non-x86-64, no FMA, or a locked-down address space) simply get
 //! `None` from [`compile`] and the caller stays on the bytecode engine.

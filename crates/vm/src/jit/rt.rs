@@ -3,24 +3,24 @@
 //! helpers it calls for polling, errors, and µops without an inline
 //! template.
 //!
-//! Every helper reproduces the bytecode interpreter's accounting and
-//! semantics exactly — same tick/charge order, same error values, same
-//! register and memory effects — by reusing the same `pub(crate)`
-//! execution helpers (`exec_bin`, `scalar_cvt`, `atom_rmw`, …) the
-//! interpreter itself funnels through.
+//! The helpers hold no µop semantics of their own. `jit_step` and
+//! `jit_run_from` run the bytecode engine's executor,
+//! [`exec_op`](crate::bytecode::exec_op), with the `JitEnv` as its
+//! [`Charge`] clock, and `jit_poll` runs the engine's poll body. So one
+//! module decides what a µop does and in what order it charges; the
+//! helpers only adapt the environment block to it.
 
 use std::time::Instant;
 
-use dpvk_ir::{CtxField, ResumeStatus, STy};
+use dpvk_ir::{ResumeStatus, STy};
 
 use crate::bytecode::{
-    exec_bin, exec_fma, exec_un, lane, set_bcast, vec1, vec2, vec3, BytecodeProgram, OpKind,
-    OpMeta, F_LOAD, F_RESTORE, F_SPILL, F_STORE,
+    self, exec_op, BytecodeProgram, Charge, OpMeta, F_LOAD, F_RESTORE, F_SPILL, F_STORE,
 };
 use crate::cancel::CancelToken;
 use crate::context::ThreadContext;
 use crate::error::VmError;
-use crate::interp::{atom_rmw, mask_to, scalar_bin, scalar_cmp, scalar_cvt, sext};
+use crate::interp::mask_to;
 use crate::memory::MemAccess;
 
 /// Status codes written to [`JitEnv::status`]; 0 means "no SetStatus
@@ -130,93 +130,81 @@ pub(crate) struct HostCtx {
 }
 
 impl JitEnv {
+    /// The poll body of the instruction clock: schedule the next poll,
+    /// then check cancellation and the deadline.
+    ///
+    /// # Safety
+    ///
+    /// `self.host` must point to the live [`HostCtx`] of this warp call.
     #[inline(always)]
-    unsafe fn host(&mut self) -> &mut HostCtx {
-        &mut *self.host
-    }
-
-    #[inline(always)]
-    unsafe fn regs_mut(&mut self) -> &mut [u64] {
-        std::slice::from_raw_parts_mut(self.regs, self.slots as usize)
-    }
-
-    #[inline(always)]
-    unsafe fn ctxs_mut(&mut self) -> &mut [ThreadContext] {
-        std::slice::from_raw_parts_mut(self.ctxs, self.nctx as usize)
+    unsafe fn poll(&mut self) -> Result<(), VmError> {
+        let host = &*self.host;
+        self.next_poll = self.executed + host.poll_stride;
+        bytecode::poll(host.cancel.as_ref(), host.deadline)
     }
 }
 
-/// The `tick!` macro of the interpreter loop, field-for-field.
-#[inline(always)]
-unsafe fn tick(env: &mut JitEnv) -> Result<(), VmError> {
-    env.executed += 1;
-    if env.executed > env.max_instructions {
-        return Err(VmError::Watchdog { limit: env.max_instructions });
-    }
-    if env.executed >= env.next_poll {
-        let stride = env.host().poll_stride;
-        env.next_poll = env.executed + stride;
-        let cancel = env.host().cancel;
-        if !cancel.is_null() && (*cancel).is_cancelled() {
-            return Err(VmError::Cancelled);
+/// A `JitEnv` inside a helper call, where its `host` is live: the JIT's
+/// instruction clock and charges, the interpreter loop's over the
+/// fields native code flushes before every helper call. Built only by
+/// [`jit_exec`].
+struct HelperClock<'a>(&'a mut JitEnv);
+
+impl Charge for HelperClock<'_> {
+    #[inline(always)]
+    fn charge(&mut self, meta: OpMeta) -> Result<(), VmError> {
+        let env = &mut *self.0;
+        env.executed += 1;
+        if env.executed > env.max_instructions {
+            return Err(VmError::Watchdog { limit: env.max_instructions });
         }
-        if let Some(deadline) = env.host().deadline {
-            if Instant::now() >= deadline {
-                return Err(VmError::Deadline);
+        if env.executed >= env.next_poll {
+            // SAFETY: a `HelperClock` exists only inside a helper
+            // call, while `host` is live.
+            unsafe { env.poll()? };
+        }
+        env.cycles += meta.cost as u64;
+        env.flops += meta.flops as u64;
+        if meta.flags != 0 {
+            if meta.flags & F_LOAD != 0 {
+                env.loads += 1;
+                if meta.flags & F_RESTORE != 0 {
+                    env.restore_loads += 1;
+                    env.restore_bytes += meta.bytes as u64;
+                }
+            }
+            if meta.flags & F_STORE != 0 {
+                env.stores += 1;
+                if meta.flags & F_SPILL != 0 {
+                    env.spill_stores += 1;
+                    env.spill_bytes += meta.bytes as u64;
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
-/// The `charge!` macro of the interpreter loop.
-#[inline(always)]
-unsafe fn charge(env: &mut JitEnv, meta: OpMeta) -> Result<(), VmError> {
-    tick(env)?;
-    env.cycles += meta.cost as u64;
-    env.flops += meta.flops as u64;
-    if meta.flags != 0 {
-        if meta.flags & F_LOAD != 0 {
-            env.loads += 1;
-            if meta.flags & F_RESTORE != 0 {
-                env.restore_loads += 1;
-                env.restore_bytes += meta.bytes as u64;
-            }
-        }
-        if meta.flags & F_STORE != 0 {
-            env.stores += 1;
-            if meta.flags & F_SPILL != 0 {
-                env.spill_stores += 1;
-                env.spill_bytes += meta.bytes as u64;
-            }
-        }
-    }
-    Ok(())
-}
-
+/// Park `e` in the host for the wrapper and return the failure code.
+///
+/// # Safety
+///
+/// `env.host` must point to the live [`HostCtx`] of this warp call.
 #[inline(always)]
 unsafe fn fail(env: &mut JitEnv, e: VmError) -> u32 {
-    env.host().err = Some(e);
+    (*env.host).err = Some(e);
     1
 }
 
 /// Poll helper: generated code calls this when `executed` crosses
-/// `next_poll` (the poll body of the interpreter's `tick!`). Returns 0
-/// to continue, 1 on cancellation/deadline (error stored in the host).
+/// `next_poll`. Returns 0 to continue, 1 on cancellation/deadline
+/// (error stored in the host).
 pub(crate) unsafe extern "C" fn jit_poll(env: *mut JitEnv) -> u32 {
     let env = &mut *env;
-    let stride = env.host().poll_stride;
-    env.next_poll = env.executed + stride;
-    let cancel = env.host().cancel;
-    if !cancel.is_null() && (*cancel).is_cancelled() {
-        return fail(env, VmError::Cancelled);
+    match env.poll() {
+        Ok(()) => 0,
+        Err(e) => fail(env, e),
     }
-    if let Some(deadline) = env.host().deadline {
-        if Instant::now() >= deadline {
-            return fail(env, VmError::Deadline);
-        }
-    }
-    0
 }
 
 /// Terminal-failure helper for inline templates (watchdog trip, float
@@ -249,11 +237,11 @@ pub(crate) unsafe extern "C" fn jit_f2i(bits: u64, to_bits: u32, signed: u32) ->
     }
 }
 
-/// Execute µop `idx` — charge included — through the interpreter's own
-/// execution helpers. The universal fallback for op shapes without an
-/// inline template; also the whole-op slow path behind inline
-/// fast-path guards (memory bounds), re-running the op from its start
-/// so charges and partial effects land exactly as interpreted.
+/// Execute µop `idx` — charge included — through the bytecode engine's
+/// [`exec_op`]. The universal fallback for op shapes without an inline
+/// template; also the whole-op slow path behind inline fast-path guards
+/// (memory bounds), re-running the op from its start so charges and
+/// partial effects land exactly as interpreted.
 ///
 /// Returns 0 on success, 1 with the error stored in the host.
 ///
@@ -262,11 +250,7 @@ pub(crate) unsafe extern "C" fn jit_f2i(bits: u64, to_bits: u32, signed: u32) ->
 /// Must only be called from generated code during a warp call whose
 /// `JitEnv`/`HostCtx` pointers are all live.
 pub(crate) unsafe extern "C" fn jit_step(env: *mut JitEnv, idx: u32) -> u32 {
-    let env = &mut *env;
-    match step_op(env, idx) {
-        Ok(()) => 0,
-        Err(e) => fail(env, e),
-    }
+    jit_exec(&mut *env, idx, 0)
 }
 
 /// Resume a `LoadRun`/`StoreRun` at component `comp` and run it to the
@@ -276,291 +260,38 @@ pub(crate) unsafe extern "C" fn jit_step(env: *mut JitEnv, idx: u32) -> u32 {
 /// after the bounds check passes), so a faulting run leaves the same
 /// stats and register prefix as the interpreter.
 pub(crate) unsafe extern "C" fn jit_run_from(env: *mut JitEnv, idx: u32, comp: u32) -> u32 {
-    let env = &mut *env;
-    match run_from(env, idx, comp as usize) {
-        Ok(()) => 0,
+    jit_exec(&mut *env, idx, comp as usize)
+}
+
+/// [`exec_op`] over the warp call's frame, contexts and memory, with
+/// `env` as the clock. Terminators never reach here: they always have
+/// inline templates.
+///
+/// # Safety
+///
+/// As for [`jit_step`]: every pointer in `env` and its [`HostCtx`] is
+/// live and valid for its stated length, and `idx` indexes the
+/// program's µop stream.
+unsafe fn jit_exec(env: &mut JitEnv, idx: u32, comp: usize) -> u32 {
+    let host = &*env.host;
+    let program = &*host.program;
+    let op = &program.code[idx as usize];
+    let regs = std::slice::from_raw_parts_mut(env.regs, env.slots as usize);
+    let ctxs = std::slice::from_raw_parts_mut(env.ctxs, env.nctx as usize);
+    let entry_id = env.entry_id_masked;
+    let mut status = None;
+    let mem = &mut *host.mem;
+    let result = exec_op(&mut HelperClock(env), op, comp, regs, ctxs, entry_id, mem, &mut status);
+    if let Some(s) = status {
+        env.status = match s {
+            ResumeStatus::Branch => STATUS_BRANCH,
+            ResumeStatus::Barrier => STATUS_BARRIER,
+            ResumeStatus::Exit => STATUS_EXIT,
+        };
+    }
+    match result {
+        Ok(true) => 0,
+        Ok(false) => unreachable!("terminator µop routed to a JIT helper"),
         Err(e) => fail(env, e),
-    }
-}
-
-unsafe fn run_from(env: &mut JitEnv, idx: u32, comp: usize) -> Result<(), VmError> {
-    let program = &*env.host().program;
-    let op = program.code[idx as usize];
-    let mem = &mut *env.host().mem;
-    match op.kind {
-        OpKind::LoadRun { n, sty, space, addr, dst } => {
-            let size = sty.size_bytes();
-            for i in comp..n as usize {
-                charge(env, op.meta)?;
-                let regs = env.regs_mut();
-                let a = regs[addr as usize + i];
-                let bits = mem.read(space, a, size)?;
-                env.regs_mut()[dst as usize + i] = mask_to(bits, sty);
-            }
-            Ok(())
-        }
-        OpKind::StoreRun { n, sty, space, avec, atmp, val, vstride, smeta } => {
-            let size = sty.size_bytes();
-            for i in comp..n as usize {
-                charge(env, op.meta)?;
-                let regs = env.regs_mut();
-                let a = regs[avec as usize + i];
-                regs[atmp as usize + i] = a;
-                charge(env, smeta)?;
-                let v = env.regs_mut()[val as usize + i * vstride as usize];
-                mem.write(space, a, size, v)?;
-            }
-            Ok(())
-        }
-        _ => unreachable!("jit_run_from on a non-run µop"),
-    }
-}
-
-/// One full µop through the shared interpreter helpers. Mirrors the
-/// corresponding arms of the interpreter's `exec_loop`; terminators
-/// never reach here (they always have inline templates).
-unsafe fn step_op(env: &mut JitEnv, idx: u32) -> Result<(), VmError> {
-    let program = &*env.host().program;
-    let op = program.code[idx as usize];
-    match op.kind {
-        OpKind::Bin { op: bop, sty, signed, w, dst, a, b } => {
-            charge(env, op.meta)?;
-            exec_bin(env.regs_mut(), bop, sty, signed, w, dst, a, b, 0)?;
-        }
-        OpKind::Un { op: uop, sty, w, dst, a } => {
-            charge(env, op.meta)?;
-            exec_un(env.regs_mut(), uop, sty, w, dst, a)?;
-        }
-        OpKind::Fma { sty, w, dst, a, b, c } => {
-            charge(env, op.meta)?;
-            exec_fma(env.regs_mut(), sty, w, dst, a, b, c);
-        }
-        OpKind::Cmp { pred, sty, signed, w, dst, a, b } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            if w == 1 {
-                let r = scalar_cmp(pred, sty, signed, lane(regs, a, 0, 0), lane(regs, b, 0, 0));
-                set_bcast(regs, dst, r);
-            } else {
-                vec2(regs, w as usize, dst.off as usize, a, b, |x, y| {
-                    scalar_cmp(pred, sty, signed, x, y)
-                });
-            }
-        }
-        OpKind::Select { w, dst, cond, a, b } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            if w == 1 {
-                let r = if lane(regs, cond, 0, 0) & 1 != 0 {
-                    lane(regs, a, 0, 0)
-                } else {
-                    lane(regs, b, 0, 0)
-                };
-                set_bcast(regs, dst, r);
-            } else {
-                vec3(regs, w as usize, dst.off as usize, cond, a, b, |c, x, y| {
-                    if c & 1 != 0 {
-                        x
-                    } else {
-                        y
-                    }
-                });
-            }
-        }
-        OpKind::Cvt { to, from, signed, w, dst, a } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            if w == 1 {
-                let r = scalar_cvt(to, from, signed, lane(regs, a, 0, 0));
-                set_bcast(regs, dst, r);
-            } else {
-                vec1(regs, w as usize, dst.off as usize, a, |x| scalar_cvt(to, from, signed, x));
-            }
-        }
-        OpKind::Load { sty, space, dst, addr } => {
-            charge(env, op.meta)?;
-            let a = lane(env.regs_mut(), addr, 0, 0);
-            let mem = &mut *env.host().mem;
-            let bits = mem.read(space, a, sty.size_bytes())?;
-            set_bcast(env.regs_mut(), dst, mask_to(bits, sty));
-        }
-        OpKind::Store { sty, space, addr, value } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let a = lane(regs, addr, 0, 0);
-            let v = lane(regs, value, 0, 0);
-            let mem = &mut *env.host().mem;
-            mem.write(space, a, sty.size_bytes(), v)?;
-        }
-        OpKind::Atom { sty, space, op: akind, signed, dst, addr, a, b } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let addr_v = lane(regs, addr, 0, 0);
-            let av = lane(regs, a, 0, 0);
-            let bv = b.map(|b| lane(regs, b, 0, 0));
-            let mem = &mut *env.host().mem;
-            let old = atom_rmw(mem, sty, space, akind, signed, addr_v, av, bv)?;
-            set_bcast(env.regs_mut(), dst, mask_to(old, sty));
-        }
-        OpKind::Insert { w, dst, vec, elem, lane: l } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let e = lane(regs, elem, 0, 0);
-            let doff = dst.off as usize;
-            if let Some(v) = vec {
-                for i in 0..w as usize {
-                    regs[doff + i] = lane(regs, v, i, 0);
-                }
-            }
-            regs[doff + l as usize] = e;
-        }
-        OpKind::Extract { dst, vec, lane: l } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let v = lane(regs, vec, l as usize, 0);
-            set_bcast(regs, dst, v);
-        }
-        OpKind::Splat { dst, a } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let v = lane(regs, a, 0, 0);
-            set_bcast(regs, dst, v);
-        }
-        OpKind::Reduce { op: rop, sty, w, dst, vec } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let w = w as usize;
-            let r = match rop {
-                dpvk_ir::ReduceOp::Add => {
-                    let mut sum: u64 = 0;
-                    for i in 0..w {
-                        sum = sum.wrapping_add(mask_to(lane(regs, vec, i, 0), sty));
-                    }
-                    mask_to(sum, STy::I32)
-                }
-                dpvk_ir::ReduceOp::All => (0..w).all(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
-                dpvk_ir::ReduceOp::Any => (0..w).any(|i| lane(regs, vec, i, 0) & 1 != 0) as u64,
-            };
-            set_bcast(regs, dst, r);
-        }
-        OpKind::CtxRead { field, lane: l, dst } => {
-            charge(env, op.meta)?;
-            let v = ctx_field(env, field, l as usize, program.warp_size);
-            set_bcast(env.regs_mut(), dst, v);
-        }
-        OpKind::SetRpImm { lane: l, id } => {
-            charge(env, op.meta)?;
-            env.ctxs_mut()[l as usize].resume_point = id;
-        }
-        OpKind::SetRpReg { lane: l, slot, sty } => {
-            charge(env, op.meta)?;
-            let v = sext(env.regs_mut()[slot as usize], sty);
-            env.ctxs_mut()[l as usize].resume_point = v;
-        }
-        OpKind::SetStatus { status } => {
-            charge(env, op.meta)?;
-            env.status = match status {
-                ResumeStatus::Branch => STATUS_BRANCH,
-                ResumeStatus::Barrier => STATUS_BARRIER,
-                ResumeStatus::Exit => STATUS_EXIT,
-            };
-        }
-        OpKind::Vote { dst, a } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let v = lane(regs, a, 0, 0);
-            set_bcast(regs, dst, v & 1);
-        }
-        OpKind::MovVec { w, off, a } => {
-            charge(env, op.meta)?;
-            vec1(env.regs_mut(), w as usize, off as usize, a, |x| x);
-        }
-        OpKind::MovScalar { dst, a } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let v = lane(regs, a, 0, 0);
-            set_bcast(regs, dst, v);
-        }
-        OpKind::CopyRun { n, src, sstride, dst, prefill } => {
-            for i in 0..n as usize {
-                charge(env, op.meta)?;
-                let regs = env.regs_mut();
-                let e = regs[src as usize + i * sstride as usize];
-                if i == 0 {
-                    if let Some((v, w)) = prefill {
-                        for j in 0..w as usize {
-                            regs[dst as usize + j] = lane(regs, v, j, 0);
-                        }
-                    }
-                }
-                env.regs_mut()[dst as usize + i] = e;
-            }
-        }
-        OpKind::LoadRun { .. } | OpKind::StoreRun { .. } => {
-            return run_from(env, idx, 0);
-        }
-        OpKind::CtxReadRun { field, n, dst } => {
-            for i in 0..n as usize {
-                charge(env, op.meta)?;
-                let v = ctx_field(env, field, i, program.warp_size);
-                env.regs_mut()[dst as usize + i] = v;
-            }
-        }
-        OpKind::Unsupported { what } => {
-            charge(env, op.meta)?;
-            return Err(VmError::Unsupported(what.to_string()));
-        }
-        OpKind::BinBin { op1, sty1, sg1, a1, b1, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-            charge(env, op.meta)?;
-            let regs = env.regs_mut();
-            let v1 = scalar_bin(op1, sty1, sg1, lane(regs, a1, 0, 0), lane(regs, b1, 0, 0))?;
-            if let Some(d) = dst1 {
-                set_bcast(regs, d, v1);
-            }
-            charge(env, meta2)?;
-            let regs = env.regs_mut();
-            let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-            set_bcast(regs, dst2, v2);
-        }
-        OpKind::LoadBin { sty1, space, addr, dst1, op2, sty2, sg2, a2, b2, dst2, meta2 } => {
-            charge(env, op.meta)?;
-            let a = lane(env.regs_mut(), addr, 0, 0);
-            let mem = &mut *env.host().mem;
-            let bits = mem.read(space, a, sty1.size_bytes())?;
-            let v1 = mask_to(bits, sty1);
-            let regs = env.regs_mut();
-            if let Some(d) = dst1 {
-                set_bcast(regs, d, v1);
-            }
-            charge(env, meta2)?;
-            let regs = env.regs_mut();
-            let v2 = scalar_bin(op2, sty2, sg2, lane(regs, a2, 0, v1), lane(regs, b2, 0, v1))?;
-            set_bcast(regs, dst2, v2);
-        }
-        OpKind::CmpBr { .. }
-        | OpKind::Br { .. }
-        | OpKind::CondBr { .. }
-        | OpKind::Switch { .. }
-        | OpKind::Ret { .. } => {
-            unreachable!("terminator µop routed to jit_step")
-        }
-    }
-    Ok(())
-}
-
-#[inline(always)]
-unsafe fn ctx_field(env: &mut JitEnv, field: CtxField, l: usize, warp_size: u32) -> u64 {
-    let entry_masked = env.entry_id_masked;
-    let ctxs = env.ctxs_mut();
-    let ctx = &ctxs[l.min(ctxs.len() - 1)];
-    match field {
-        CtxField::Tid(d) => ctx.tid[d as usize] as u64,
-        CtxField::Ntid(d) => ctx.ntid[d as usize] as u64,
-        CtxField::Ctaid(d) => ctx.ctaid[d as usize] as u64,
-        CtxField::Nctaid(d) => ctx.nctaid[d as usize] as u64,
-        CtxField::LocalBase => ctx.local_base,
-        CtxField::LaneId => l as u64,
-        CtxField::WarpSize => warp_size as u64,
-        CtxField::EntryId => entry_masked,
     }
 }

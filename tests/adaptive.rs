@@ -169,6 +169,26 @@ fn converges_to_best_static_width_from_worst_start() {
     }
 }
 
+/// `Device::synchronize` also waits for the background respecialization
+/// a launch scheduled, so the launch after it already runs at the
+/// candidate width: with two candidates and a threshold of one, the
+/// policy commits after exactly two launches. The kernel's long body
+/// keeps the candidate compile running well past the first launch.
+#[test]
+fn synchronize_waits_for_scheduled_respecialization() {
+    let body = "  mul.lo.u32 %r1, %r1, 2654435761;\n  xor.b32 %r1, %r1, %r0;\n".repeat(500);
+    let src = UNIFORM.replace("loop:\n", &format!("{body}loop:\n"));
+    let (dev, out) = fresh(&src);
+    let adapt = AdaptConfig::on().with_threshold(1).with_candidates(&[2, 8]);
+    let config = ExecConfig::dynamic(2).with_workers(1).with_adapt(adapt);
+    dev.launch("adapt", GRID, BLOCK, &[ParamValue::Ptr(out)], &config).unwrap();
+    assert_eq!(dev.width_policy("adapt").respec_events, 1);
+    dev.synchronize();
+    dev.launch("adapt", GRID, BLOCK, &[ParamValue::Ptr(out)], &config).unwrap();
+    let snap = dev.width_policy("adapt");
+    assert!(snap.chosen_width.is_some(), "second launch did not run at w8: {snap:?}");
+}
+
 /// Observe mode profiles launches but never steers or respecializes.
 #[test]
 fn observe_mode_counts_without_steering() {

@@ -379,7 +379,8 @@ use dpvk::core::Engine;
 /// the fixed barrier-heavy one — produce the same memory image and
 /// bit-identical `LaunchStats` (modeled cycles included) under the
 /// tree-walk oracle, the pre-decoded bytecode engine, and the native
-/// JIT tier, across formation policies and widths 1/2/4/8. Every
+/// JIT tier, across formation policies and widths 1/2/4/8/16 (at 16
+/// every vector µop runs through the JIT's helper). Every
 /// engine is diffed against bytecode, which gives all three pairings
 /// by transitivity — and every config's memory image is diffed against
 /// the scalar baseline's, so width itself is proven not to change what
@@ -402,9 +403,11 @@ fn engines_are_pairwise_identical() {
         ExecConfig::dynamic(2),
         ExecConfig::dynamic(4),
         ExecConfig::dynamic(8),
+        ExecConfig::dynamic(16),
         ExecConfig::static_tie(2),
         ExecConfig::static_tie(4),
         ExecConfig::static_tie(8),
+        ExecConfig::static_tie(16),
     ];
     for (case, src) in sources.iter().enumerate() {
         // Memory image of the first (scalar baseline) config: the
